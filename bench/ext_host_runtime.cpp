@@ -17,7 +17,7 @@ int main() {
                       "Wall-clock per-layer measurement of the numeric "
                       "kernels on THIS machine -> lookup table -> JPS plan");
 
-  // A mid-size synthetic CNN keeps the naive kernels fast enough to time.
+  // A mid-size synthetic CNN keeps every layer quick enough to time.
   models::SyntheticLineSpec spec;
   spec.blocks = 6;
   spec.input_size = 64;
@@ -70,7 +70,7 @@ int main() {
                         util::format_ms(jps.makespan_per_job()), mix_str});
   }
   std::cout << plan_table
-            << "(absolute times reflect this machine's naive kernels, not a\n"
+            << "(absolute times reflect this machine's fp32 kernels, not a\n"
                "Pi; the planning pipeline is identical either way.)\n";
   return 0;
 }

@@ -55,6 +55,7 @@ class Conv2dLayer final : public Layer {
   /// groups == 0 encodes "depthwise": bind groups to in_channels at infer time.
   [[nodiscard]] std::int64_t groups() const { return groups_; }
   [[nodiscard]] bool depthwise() const { return groups_ == 0; }
+  [[nodiscard]] bool has_bias() const { return bias_; }
 
  private:
   [[nodiscard]] std::int64_t effective_groups(std::int64_t in_channels) const;
@@ -79,6 +80,7 @@ class DenseLayer final : public Layer {
   [[nodiscard]] double flops(std::span<const TensorShape> inputs, const TensorShape& output) const override;
   [[nodiscard]] std::uint64_t param_count(std::span<const TensorShape> inputs, const TensorShape& output) const override;
   [[nodiscard]] std::int64_t out_features() const { return out_features_; }
+  [[nodiscard]] bool has_bias() const { return bias_; }
 
  private:
   std::int64_t out_features_;

@@ -1,6 +1,7 @@
 #include "dnn/tensor_shape.h"
 
 #include <cassert>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -15,22 +16,15 @@ const char* dtype_name(DType t) {
   return "?";
 }
 
-namespace {
-void validate(const std::vector<std::int64_t>& dims) {
-  for (std::int64_t d : dims) {
-    if (d < 1) throw std::invalid_argument("TensorShape: dims must be >= 1");
+TensorShape::TensorShape(std::initializer_list<std::int64_t> dims) {
+  if (dims.size() > kMaxRank)
+    throw std::invalid_argument("TensorShape: rank above " +
+                                std::to_string(kMaxRank));
+  for (const std::int64_t d : dims) {
+    if (d < 1 || d > std::numeric_limits<std::int32_t>::max())
+      throw std::invalid_argument("TensorShape: dims must be in [1, 2^31)");
+    dims_[rank_++] = static_cast<std::int32_t>(d);
   }
-}
-}  // namespace
-
-TensorShape::TensorShape(std::initializer_list<std::int64_t> dims)
-    : dims_(dims) {
-  validate(dims_);
-}
-
-TensorShape::TensorShape(std::vector<std::int64_t> dims)
-    : dims_(std::move(dims)) {
-  validate(dims_);
 }
 
 TensorShape TensorShape::chw(std::int64_t c, std::int64_t h, std::int64_t w) {
@@ -40,7 +34,7 @@ TensorShape TensorShape::chw(std::int64_t c, std::int64_t h, std::int64_t w) {
 TensorShape TensorShape::flat(std::int64_t f) { return TensorShape{f}; }
 
 std::int64_t TensorShape::dim(std::size_t i) const {
-  if (i >= dims_.size()) throw std::out_of_range("TensorShape::dim");
+  if (i >= rank()) throw std::out_of_range("TensorShape::dim");
   return dims_[i];
 }
 
@@ -59,20 +53,13 @@ std::int64_t TensorShape::width() const {
   return dims_[2];
 }
 
-std::int64_t TensorShape::elements() const {
-  if (dims_.empty()) return 0;
-  std::int64_t n = 1;
-  for (std::int64_t d : dims_) n *= d;
-  return n;
-}
-
 std::uint64_t TensorShape::bytes(DType t) const {
   return static_cast<std::uint64_t>(elements()) * dtype_size(t);
 }
 
 std::string TensorShape::str() const {
   std::ostringstream os;
-  for (std::size_t i = 0; i < dims_.size(); ++i) {
+  for (std::size_t i = 0; i < rank(); ++i) {
     if (i) os << 'x';
     os << dims_[i];
   }

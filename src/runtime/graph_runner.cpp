@@ -1,16 +1,18 @@
 #include "runtime/graph_runner.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
-
-#include "dnn/layer_impl.h"
 
 namespace jps::runtime {
 
 namespace {
 
-// He-style scale: weights ~ N(0, sqrt(2/fan_in)); biases zero; batch-norm
-// gamma 1, beta 0 — keeps activations in a sane range through deep nets.
+// He initialisation: weights ~ N(0, sqrt(2/fan_in)), where fan_in is the
+// number of inputs one output reads — (cin/groups)*kh*kw for a conv,
+// in_features for a dense layer; biases zero; batch-norm gamma 1, beta 0.
+// Keeps activations near unit scale through deep ReLU nets, clear of the
+// subnormal range.
 LayerWeights make_weights(const dnn::Graph& graph, dnn::NodeId id,
                           util::Rng& rng) {
   LayerWeights w;
@@ -19,47 +21,24 @@ LayerWeights make_weights(const dnn::Graph& graph, dnn::NodeId id,
     in_shapes.push_back(graph.info(p).output_shape);
   const dnn::TensorShape& out = graph.info(id).output_shape;
   const dnn::Layer& layer = graph.layer(id);
-  const std::uint64_t params = layer.param_count(in_shapes, out);
-  if (params == 0) return w;
+  const WeightSizes sizes = weight_sizes(layer, in_shapes, out);
+  if (sizes.weights == 0) return w;
 
   if (layer.kind() == dnn::LayerKind::kBatchNorm) {
-    const auto channels = static_cast<std::size_t>(params / 2);
-    w.weights.assign(params, 0.0f);
-    for (std::size_t c = 0; c < channels; ++c) w.weights[c] = 1.0f;  // gamma
+    w.weights.assign(sizes.weights, 0.0f);
+    std::fill_n(w.weights.begin(), sizes.weights / 2, 1.0f);  // gamma
     return w;
   }
 
-  // Conv / dense: split into weight blob + bias by reconstructing the bias
-  // size from the shapes.
-  std::uint64_t bias_count = 0;
-  std::uint64_t weight_count = params;
-  if (layer.kind() == dnn::LayerKind::kConv2d) {
-    const auto& conv = static_cast<const dnn::detail::Conv2dLayer&>(layer);
-    const std::int64_t cin = in_shapes[0].channels();
-    const std::int64_t groups = conv.depthwise() ? cin : conv.groups();
-    const std::uint64_t kernel_weights =
-        static_cast<std::uint64_t>(out.channels()) *
-        static_cast<std::uint64_t>(cin / groups) *
-        static_cast<std::uint64_t>(conv.kernel_h() * conv.kernel_w());
-    bias_count = params - kernel_weights;
-    weight_count = kernel_weights;
-  } else if (layer.kind() == dnn::LayerKind::kDense) {
-    const std::uint64_t kernel_weights =
-        static_cast<std::uint64_t>(in_shapes[0].elements()) *
-        static_cast<std::uint64_t>(out.elements());
-    bias_count = params - kernel_weights;
-    weight_count = kernel_weights;
-  }
-
-  const double fan_in = in_shapes.empty()
-                            ? 1.0
-                            : static_cast<double>(in_shapes[0].elements());
-  const double scale =
-      std::sqrt(2.0 / std::max(1.0, std::min(fan_in, 4096.0)));
-  w.weights.resize(weight_count);
-  for (float& v : w.weights)
-    v = static_cast<float>(rng.normal(0.0, scale * 0.1));
-  w.bias.assign(bias_count, 0.0f);
+  const std::uint64_t outputs =
+      static_cast<std::uint64_t>(layer.kind() == dnn::LayerKind::kConv2d
+                                     ? out.channels()
+                                     : out.elements());
+  const double fan_in = static_cast<double>(sizes.weights / outputs);
+  const double scale = std::sqrt(2.0 / fan_in);
+  w.weights.resize(sizes.weights);
+  for (float& v : w.weights) v = static_cast<float>(rng.normal(0.0, scale));
+  w.bias.assign(sizes.bias, 0.0f);
   return w;
 }
 

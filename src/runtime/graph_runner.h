@@ -10,7 +10,7 @@
 
 namespace jps::runtime {
 
-/// Deterministic per-node weights for a graph: He-style small random values
+/// Deterministic per-node weights for a graph: He-initialised random values
 /// seeded from (seed, node id), so two runners with the same seed agree.
 class WeightStore {
  public:

@@ -2,7 +2,8 @@
 // build the scheduler's lookup table from wall-clock medians — the full
 // §6.1 deployment loop (profile -> lookup table -> plan) without any
 // analytic model in the path.  The "mobile device" is simply this machine
-// running the naive kernels; absolute numbers differ from a Pi, but the
+// running the runtime's direct kernels (bit-identical to a scalar loop per
+// output, see kernels.h); absolute numbers differ from a Pi, but the
 // per-layer proportions are real measurements.
 #pragma once
 

@@ -15,25 +15,168 @@ namespace {
 
 using dnn::TensorShape;
 
-TensorShape infer_output(const dnn::Layer& layer,
-                         std::span<const Tensor> inputs) {
-  std::vector<TensorShape> shapes;
-  shapes.reserve(inputs.size());
-  for (const Tensor& t : inputs) shapes.push_back(t.shape());
-  return layer.infer(shapes);
-}
-
-void expect_weights(const dnn::Layer& layer, std::span<const Tensor> inputs,
+void expect_weights(const dnn::Layer& layer,
+                    std::span<const TensorShape> inputs,
                     const TensorShape& out, const LayerWeights& weights) {
-  std::vector<TensorShape> shapes;
-  for (const Tensor& t : inputs) shapes.push_back(t.shape());
-  const std::uint64_t expected = layer.param_count(shapes, out);
-  const std::uint64_t provided = weights.weights.size() + weights.bias.size();
-  if (expected != provided) {
+  const WeightSizes want = weight_sizes(layer, inputs, out);
+  if (weights.weights.size() != want.weights ||
+      weights.bias.size() != want.bias) {
     throw std::invalid_argument(
         "run_layer: " + layer.describe() + " expects " +
-        std::to_string(expected) + " parameters, got " +
-        std::to_string(provided));
+        std::to_string(want.weights) + " weights + " +
+        std::to_string(want.bias) + " biases, got " +
+        std::to_string(weights.weights.size()) + " + " +
+        std::to_string(weights.bias.size()));
+  }
+}
+
+// conv2d and pool2d keep the order contract in kernels.h: a tile only
+// puts independent outputs side by side, and each output still visits its
+// valid taps in (ic, ky, kx) order, so no sum is reassociated.
+
+/// Half-open index range.
+struct Range {
+  std::int64_t lo = 0;
+  std::int64_t hi = 0;
+};
+
+/// Taps of a `k`-tap window whose first tap sits at `origin` on an axis of
+/// `extent` elements that land inside the axis (empty when lo >= hi).
+Range taps_inside(std::int64_t origin, std::int64_t k, std::int64_t extent) {
+  return {std::max<std::int64_t>(0, -origin), std::min(k, extent - origin)};
+}
+
+/// Output columns whose whole window lies inside the input row: the
+/// window origin ox * stride - pad is >= 0 and ends at or before in_w.
+Range interior_columns(std::int64_t in_w, std::int64_t out_w, std::int64_t k,
+                       std::int64_t stride, std::int64_t pad) {
+  const std::int64_t lo = std::min(out_w, (pad + stride - 1) / stride);
+  const std::int64_t last_origin = in_w - k + pad;
+  const std::int64_t hi =
+      last_origin < 0 ? lo : std::clamp(last_origin / stride + 1, lo, out_w);
+  return {lo, hi};
+}
+
+/// Call tile(ox0, n, interior) over one output row in tiles of at most
+/// `width` columns: border tiles over the padded edges, full-width interior
+/// tiles in between.  When the interior is not a multiple of `width` the
+/// last interior tile is shifted left to overlap its neighbour; recomputing
+/// an output yields the same bits.
+template <typename Tile>
+void for_each_tile(Range interior, std::int64_t out_w, std::int64_t width,
+                   const Tile& tile) {
+  const auto border = [&](std::int64_t from, std::int64_t to) {
+    for (std::int64_t ox = from; ox < to; ox += width)
+      tile(ox, std::min(width, to - ox), false);
+  };
+  border(0, interior.lo);
+  if (interior.hi - interior.lo >= width) {
+    for (std::int64_t ox = interior.lo; ox < interior.hi; ox += width)
+      tile(std::min(ox, interior.hi - width), width, true);
+  } else {
+    border(interior.lo, interior.hi);
+  }
+  border(interior.hi, out_w);
+}
+
+constexpr std::int64_t kTileChannels = 4;  // output channels per conv tile
+constexpr std::int64_t kTileColumns = 8;   // output columns per conv tile
+
+/// Dimensions of one conv2d call, hoisted out of the loops.
+struct ConvGeometry {
+  std::int64_t in_h, in_w, out_h, out_w;
+  std::int64_t kh, kw, stride, ph, pw;
+  std::int64_t cin_per_group;
+  std::int64_t weights_per_oc;  // cin_per_group * kh * kw
+};
+
+/// Accumulate one register tile of kC output channels x kTileColumns
+/// columns of an output row whose windows all lie inside the input row.
+/// `in` is the group's first input channel, `w` the tile's first output
+/// channel's weights, `iy0` the window's top row (ky taps valid in `ky`).
+template <int kC, bool kUnitStride>
+void conv_interior_tile(const ConvGeometry& g, const float* in,
+                        const float* w, std::int64_t iy0, Range ky,
+                        std::int64_t ox0, float (&acc)[kC][kTileColumns]) {
+  const std::int64_t stride = kUnitStride ? 1 : g.stride;
+  const std::int64_t plane = g.in_h * g.in_w;
+  for (std::int64_t ic = 0; ic < g.cin_per_group; ++ic) {
+    for (std::int64_t y = ky.lo; y < ky.hi; ++y) {
+      const float* x =
+          in + ic * plane + (iy0 + y) * g.in_w + ox0 * stride - g.pw;
+      const float* wrow = w + (ic * g.kh + y) * g.kw;
+      for (std::int64_t kx = 0; kx < g.kw; ++kx) {
+        float wk[kC];
+        for (int c = 0; c < kC; ++c) wk[c] = wrow[c * g.weights_per_oc + kx];
+        for (int c = 0; c < kC; ++c)
+          for (int j = 0; j < kTileColumns; ++j)
+            acc[c][j] += x[j * stride + kx] * wk[c];
+      }
+    }
+  }
+}
+
+/// The same for `n` <= kTileColumns columns anywhere in the row: each
+/// column skips the kx taps that fall in the padding.
+template <int kC>
+void conv_border_tile(const ConvGeometry& g, const float* in, const float* w,
+                      std::int64_t iy0, Range ky, std::int64_t ox0,
+                      std::int64_t n, float (&acc)[kC][kTileColumns]) {
+  const std::int64_t plane = g.in_h * g.in_w;
+  Range kx[kTileColumns];
+  for (std::int64_t j = 0; j < n; ++j)
+    kx[j] = taps_inside((ox0 + j) * g.stride - g.pw, g.kw, g.in_w);
+  for (std::int64_t ic = 0; ic < g.cin_per_group; ++ic) {
+    for (std::int64_t y = ky.lo; y < ky.hi; ++y) {
+      const float* row = in + ic * plane + (iy0 + y) * g.in_w;
+      const float* wrow = w + (ic * g.kh + y) * g.kw;
+      for (std::int64_t j = 0; j < n; ++j) {
+        const std::int64_t ix0 = (ox0 + j) * g.stride - g.pw;
+        for (std::int64_t t = kx[j].lo; t < kx[j].hi; ++t)
+          for (int c = 0; c < kC; ++c)
+            acc[c][j] += row[ix0 + t] * wrow[c * g.weights_per_oc + t];
+      }
+    }
+  }
+}
+
+/// All outputs of kC consecutive output channels of one group.  `bias` is
+/// null for bias-free layers; `out` is the first channel's output plane.
+template <int kC, bool kUnitStride>
+void conv_block(const ConvGeometry& g, const float* in, const float* w,
+                const float* bias, float* out) {
+  const std::int64_t out_plane = g.out_h * g.out_w;
+  const Range interior =
+      interior_columns(g.in_w, g.out_w, g.kw, g.stride, g.pw);
+  for (std::int64_t oy = 0; oy < g.out_h; ++oy) {
+    const std::int64_t iy0 = oy * g.stride - g.ph;
+    const Range ky = taps_inside(iy0, g.kh, g.in_h);
+    float* out_row = out + oy * g.out_w;
+    for_each_tile(interior, g.out_w, kTileColumns,
+                  [&](std::int64_t ox0, std::int64_t n, bool inside) {
+                    float acc[kC][kTileColumns];
+                    for (int c = 0; c < kC; ++c)
+                      for (int j = 0; j < kTileColumns; ++j)
+                        acc[c][j] = bias != nullptr ? bias[c] : 0.0f;
+                    if (inside) {
+                      conv_interior_tile<kC, kUnitStride>(g, in, w, iy0, ky,
+                                                          ox0, acc);
+                    } else {
+                      conv_border_tile<kC>(g, in, w, iy0, ky, ox0, n, acc);
+                    }
+                    for (int c = 0; c < kC; ++c)
+                      std::copy_n(acc[c], n, out_row + c * out_plane + ox0);
+                  });
+  }
+}
+
+template <bool kUnitStride>
+void conv_block(int channels, const ConvGeometry& g, const float* in,
+                const float* w, const float* bias, float* out) {
+  if (channels == kTileChannels) {
+    conv_block<kTileChannels, kUnitStride>(g, in, w, bias, out);
+  } else {
+    conv_block<1, kUnitStride>(g, in, w, bias, out);
   }
 }
 
@@ -45,39 +188,93 @@ Tensor conv2d(const dnn::detail::Conv2dLayer& conv, const Tensor& in,
   const std::int64_t groups = conv.depthwise() ? cin : conv.groups();
   const std::int64_t cin_per_group = cin / groups;
   const std::int64_t cout_per_group = cout / groups;
-  const std::int64_t kh = conv.kernel_h();
-  const std::int64_t kw = conv.kernel_w();
-  const std::int64_t stride = conv.stride();
-  const std::int64_t ph = conv.padding_h();
-  const std::int64_t pw = conv.padding_w();
+  const ConvGeometry g{
+      .in_h = in.shape().height(),
+      .in_w = in.shape().width(),
+      .out_h = out_shape.height(),
+      .out_w = out_shape.width(),
+      .kh = conv.kernel_h(),
+      .kw = conv.kernel_w(),
+      .stride = conv.stride(),
+      .ph = conv.padding_h(),
+      .pw = conv.padding_w(),
+      .cin_per_group = cin_per_group,
+      .weights_per_oc = cin_per_group * conv.kernel_h() * conv.kernel_w()};
+  const std::int64_t in_plane = g.in_h * g.in_w;
+  const std::int64_t out_plane = g.out_h * g.out_w;
   const bool has_bias = !weights.bias.empty();
 
-  util::parallel_for(static_cast<std::size_t>(cout), [&](std::size_t oc_raw) {
-    const auto oc = static_cast<std::int64_t>(oc_raw);
-    const std::int64_t group = oc / cout_per_group;
-    const float* w = weights.weights.data() +
-                     oc * cin_per_group * kh * kw;  // [cin/g][kh][kw]
-    for (std::int64_t oy = 0; oy < out_shape.height(); ++oy) {
-      for (std::int64_t ox = 0; ox < out_shape.width(); ++ox) {
-        float acc = has_bias ? weights.bias[static_cast<std::size_t>(oc)] : 0.0f;
-        for (std::int64_t ic = 0; ic < cin_per_group; ++ic) {
-          const std::int64_t in_c = group * cin_per_group + ic;
-          for (std::int64_t ky = 0; ky < kh; ++ky) {
-            const std::int64_t iy = oy * stride - ph + ky;
-            if (iy < 0 || iy >= in.shape().height()) continue;
-            for (std::int64_t kx = 0; kx < kw; ++kx) {
-              const std::int64_t ix = ox * stride - pw + kx;
-              if (ix < 0 || ix >= in.shape().width()) continue;
-              acc += in.at(in_c, iy, ix) *
-                     w[(ic * kh + ky) * kw + kx];
-            }
+  // Work items are blocks of kTileChannels output channels of one group,
+  // then the group's leftover channels one by one.
+  const std::int64_t full_blocks = cout_per_group / kTileChannels;
+  const std::int64_t blocks_per_group =
+      full_blocks + cout_per_group % kTileChannels;
+  util::parallel_for(
+      static_cast<std::size_t>(groups * blocks_per_group),
+      [&](std::size_t b) {
+        const auto block = static_cast<std::int64_t>(b);
+        const std::int64_t group = block / blocks_per_group;
+        const std::int64_t r = block % blocks_per_group;
+        const bool full = r < full_blocks;
+        const std::int64_t oc =
+            group * cout_per_group +
+            (full ? r * kTileChannels : full_blocks * kTileChannels +
+                                            (r - full_blocks));
+        const int channels = full ? static_cast<int>(kTileChannels) : 1;
+        const float* group_in =
+            in.data() + group * cin_per_group * in_plane;
+        const float* w = weights.weights.data() + oc * g.weights_per_oc;
+        const float* bias = has_bias ? weights.bias.data() + oc : nullptr;
+        float* dst = out.data() + oc * out_plane;
+        if (g.stride == 1) {
+          conv_block<true>(channels, g, group_in, w, bias, dst);
+        } else {
+          conv_block<false>(channels, g, group_in, w, bias, dst);
+        }
+      });
+  return out;
+}
+
+/// One channel of a pooling layer; windows are square.
+template <bool kMax>
+void pool_plane(const float* in, float* out, std::int64_t in_h,
+                std::int64_t in_w, std::int64_t out_h, std::int64_t out_w,
+                std::int64_t kernel, std::int64_t stride,
+                std::int64_t padding) {
+  const Range interior = interior_columns(in_w, out_w, kernel, stride, padding);
+  for (std::int64_t oy = 0; oy < out_h; ++oy) {
+    const std::int64_t iy0 = oy * stride - padding;
+    const Range ky = taps_inside(iy0, kernel, in_h);
+    const std::int64_t rows = std::max<std::int64_t>(0, ky.hi - ky.lo);
+    const auto window = [&](std::int64_t ox, Range kx) {
+      const std::int64_t ix0 = ox * stride - padding;
+      float acc = kMax ? -std::numeric_limits<float>::infinity() : 0.0f;
+      for (std::int64_t y = ky.lo; y < ky.hi; ++y) {
+        const float* row = in + (iy0 + y) * in_w;
+        for (std::int64_t t = kx.lo; t < kx.hi; ++t) {
+          if constexpr (kMax) {
+            acc = std::max(acc, row[ix0 + t]);
+          } else {
+            acc += row[ix0 + t];
           }
         }
-        out.at(oc, oy, ox) = acc;
       }
-    }
-  });
-  return out;
+      if constexpr (kMax) {
+        out[oy * out_w + ox] = acc;
+      } else {
+        const std::int64_t count =
+            rows * std::max<std::int64_t>(0, kx.hi - kx.lo);
+        out[oy * out_w + ox] =
+            count > 0 ? acc / static_cast<float>(count) : 0.0f;
+      }
+    };
+    for_each_tile(interior, out_w, 1,
+                  [&](std::int64_t ox, std::int64_t, bool inside) {
+                    window(ox, inside ? Range{0, kernel}
+                                      : taps_inside(ox * stride - padding,
+                                                    kernel, in_w));
+                  });
+  }
 }
 
 Tensor pool2d(const dnn::detail::Pool2dLayer& pool, const Tensor& in,
@@ -85,33 +282,20 @@ Tensor pool2d(const dnn::detail::Pool2dLayer& pool, const Tensor& in,
               std::int64_t stride, std::int64_t padding) {
   Tensor out(out_shape);
   const bool is_max = pool.pool_kind() == dnn::PoolKind::kMax;
+  const std::int64_t in_h = in.shape().height();
+  const std::int64_t in_w = in.shape().width();
+  const std::int64_t out_h = out_shape.height();
+  const std::int64_t out_w = out_shape.width();
   util::parallel_for(
-      static_cast<std::size_t>(out_shape.channels()), [&](std::size_t c_raw) {
-        const auto c = static_cast<std::int64_t>(c_raw);
-        for (std::int64_t oy = 0; oy < out_shape.height(); ++oy) {
-          for (std::int64_t ox = 0; ox < out_shape.width(); ++ox) {
-            float acc = is_max ? -std::numeric_limits<float>::infinity() : 0.0f;
-            int count = 0;
-            for (std::int64_t ky = 0; ky < kernel; ++ky) {
-              const std::int64_t iy = oy * stride - padding + ky;
-              if (iy < 0 || iy >= in.shape().height()) continue;
-              for (std::int64_t kx = 0; kx < kernel; ++kx) {
-                const std::int64_t ix = ox * stride - padding + kx;
-                if (ix < 0 || ix >= in.shape().width()) continue;
-                const float v = in.at(c, iy, ix);
-                if (is_max) {
-                  acc = std::max(acc, v);
-                } else {
-                  acc += v;
-                }
-                ++count;
-              }
-            }
-            out.at(c, oy, ox) = is_max ? acc
-                                       : (count > 0 ? acc / static_cast<float>(
-                                                                count)
-                                                    : 0.0f);
-          }
+      static_cast<std::size_t>(out_shape.channels()), [&](std::size_t c) {
+        const float* src = in.data() + c * static_cast<std::size_t>(in_h * in_w);
+        float* dst = out.data() + c * static_cast<std::size_t>(out_h * out_w);
+        if (is_max) {
+          pool_plane<true>(src, dst, in_h, in_w, out_h, out_w, kernel, stride,
+                           padding);
+        } else {
+          pool_plane<false>(src, dst, in_h, in_w, out_h, out_w, kernel, stride,
+                            padding);
         }
       });
   return out;
@@ -220,10 +404,28 @@ Tensor concat(std::span<const Tensor> inputs, const TensorShape& out_shape) {
 
 }  // namespace
 
+WeightSizes weight_sizes(const dnn::Layer& layer,
+                         std::span<const TensorShape> inputs,
+                         const TensorShape& output) {
+  const std::uint64_t total = layer.param_count(inputs, output);
+  std::uint64_t bias = 0;
+  if (layer.kind() == dnn::LayerKind::kConv2d &&
+      static_cast<const dnn::detail::Conv2dLayer&>(layer).has_bias()) {
+    bias = static_cast<std::uint64_t>(output.channels());
+  } else if (layer.kind() == dnn::LayerKind::kDense &&
+             static_cast<const dnn::detail::DenseLayer&>(layer).has_bias()) {
+    bias = static_cast<std::uint64_t>(output.elements());
+  }
+  return {total - bias, bias};
+}
+
 Tensor run_layer(const dnn::Layer& layer, std::span<const Tensor> inputs,
                  const LayerWeights& weights) {
-  const TensorShape out_shape = infer_output(layer, inputs);
-  expect_weights(layer, inputs, out_shape, weights);
+  std::vector<TensorShape> shapes;
+  shapes.reserve(inputs.size());
+  for (const Tensor& t : inputs) shapes.push_back(t.shape());
+  const TensorShape out_shape = layer.infer(shapes);
+  expect_weights(layer, shapes, out_shape, weights);
 
   switch (layer.kind()) {
     case dnn::LayerKind::kInput:

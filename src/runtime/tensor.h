@@ -8,27 +8,52 @@
 // latency model.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
-#include <vector>
+#include <memory>
+#include <utility>
 
 #include "dnn/tensor_shape.h"
 
 namespace jps::runtime {
 
-/// Dense row-major fp32 tensor.  CHW for images, {F} for vectors.
+/// Dense row-major fp32 tensor.  CHW for images, {F} for vectors.  24 bytes
+/// plus one heap block of exactly size() floats: the element count comes
+/// from the (inline) shape, so plan executions that keep thousands of small
+/// outputs pay no per-tensor capacity word or shape allocation.
 class Tensor {
  public:
   Tensor() = default;
 
   /// Zero-initialized tensor of `shape`.
   explicit Tensor(dnn::TensorShape shape)
-      : shape_(std::move(shape)),
-        data_(static_cast<std::size_t>(shape_.elements()), 0.0f) {}
+      : shape_(shape), data_(std::make_unique<float[]>(size())) {}
+
+  Tensor(const Tensor& other)
+      : shape_(other.shape_),
+        data_(std::make_unique_for_overwrite<float[]>(other.size())) {
+    std::copy_n(other.data(), other.size(), data());
+  }
+  Tensor& operator=(const Tensor& other) {
+    if (this != &other) *this = Tensor(other);
+    return *this;
+  }
+  /// A moved-from tensor is empty.
+  Tensor(Tensor&& other) noexcept
+      : shape_(std::exchange(other.shape_, {})), data_(std::move(other.data_)) {}
+  Tensor& operator=(Tensor&& other) noexcept {
+    shape_ = std::exchange(other.shape_, {});
+    data_ = std::move(other.data_);
+    return *this;
+  }
+  ~Tensor() = default;
 
   [[nodiscard]] const dnn::TensorShape& shape() const { return shape_; }
-  [[nodiscard]] std::size_t size() const { return data_.size(); }
-  [[nodiscard]] float* data() { return data_.data(); }
-  [[nodiscard]] const float* data() const { return data_.data(); }
+  [[nodiscard]] std::size_t size() const {
+    return static_cast<std::size_t>(shape_.elements());
+  }
+  [[nodiscard]] float* data() { return data_.get(); }
+  [[nodiscard]] const float* data() const { return data_.get(); }
   [[nodiscard]] float& operator[](std::size_t i) { return data_[i]; }
   [[nodiscard]] float operator[](std::size_t i) const { return data_[i]; }
 
@@ -48,7 +73,7 @@ class Tensor {
   }
 
   dnn::TensorShape shape_;
-  std::vector<float> data_;
+  std::unique_ptr<float[]> data_;
 };
 
 }  // namespace jps::runtime

@@ -35,6 +35,15 @@ TEST(TensorShape, RejectsNonPositiveDims) {
   EXPECT_THROW(TensorShape({-1}), std::invalid_argument);
 }
 
+TEST(TensorShape, RejectsRankAboveMaxAndHugeDims) {
+  EXPECT_THROW(TensorShape({1, 2, 3, 4}), std::invalid_argument);
+  EXPECT_EQ(TensorShape({1, 2, 3}).rank(), TensorShape::kMaxRank);
+  EXPECT_THROW(TensorShape({std::int64_t{1} << 31}), std::invalid_argument);
+  EXPECT_EQ(TensorShape::flat((std::int64_t{1} << 31) - 1).elements(),
+            (std::int64_t{1} << 31) - 1);
+  EXPECT_EQ(TensorShape::chw(65536, 65536, 2).elements(), std::int64_t{1} << 33);
+}
+
 TEST(TensorShape, DimBoundsChecked) {
   const TensorShape s = TensorShape::flat(10);
   EXPECT_EQ(s.dim(0), 10);

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "dnn/layer.h"
+#include "models/registry.h"
 #include "models/zoo.h"
 
 namespace jps::runtime {
@@ -116,6 +118,37 @@ TEST(GraphRunner, RunsAZooModelNumerically) {
   const std::vector<Tensor> outputs = run_graph(g, random_input(g, rng), weights);
   for (NodeId id = 0; id < g.size(); ++id)
     EXPECT_EQ(outputs[id].shape(), g.info(id).output_shape);
+}
+
+TEST(GraphRunner, PaperModelsStayNormalAndDecisive) {
+  // He-initialised weights keep every value a layer of the evaluated models
+  // reads a normal, finite float (subnormal arithmetic would distort the
+  // host profile), and the classifier output is a finite, non-flat
+  // distribution.  The sink itself is read by nothing: a confident softmax
+  // may round its smallest probabilities to subnormals.
+  for (const std::string& name : models::paper_eval_names()) {
+    const Graph g = models::build(name);
+    const WeightStore weights(g, 1);
+    util::Rng rng(2);
+    const std::vector<Tensor> outputs =
+        run_graph(g, random_input(g, rng), weights);
+    for (NodeId id = 0; id < g.size(); ++id) {
+      if (id == g.sink()) continue;
+      for (std::size_t i = 0; i < outputs[id].size(); ++i) {
+        const int kind = std::fpclassify(outputs[id][i]);
+        ASSERT_TRUE(kind == FP_NORMAL || kind == FP_ZERO)
+            << name << " node " << id << " element " << i << " = "
+            << outputs[id][i];
+      }
+    }
+    const Tensor& sink = outputs[g.sink()];
+    for (std::size_t i = 0; i < sink.size(); ++i)
+      ASSERT_TRUE(std::isfinite(sink[i])) << name << " element " << i;
+    const float uniform = 1.0f / static_cast<float>(sink.size());
+    EXPECT_GT(*std::max_element(sink.data(), sink.data() + sink.size()),
+              2.0f * uniform)
+        << name;
+  }
 }
 
 TEST(GraphRunner, Validation) {

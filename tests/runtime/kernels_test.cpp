@@ -173,6 +173,65 @@ TEST(Kernels, WeightCountValidated) {
   EXPECT_THROW((void)run_layer(*layer, {{in}}, wrong), std::invalid_argument);
 }
 
+TEST(Kernels, MisSplitConvBlobsRejected) {
+  // 2 weights + 2 biases; a 3 + 1 split has the right total but would read
+  // bias[1] past the end.
+  const auto layer = dnn::conv2d(2, 1, 1, 0, 1, /*bias=*/true);
+  const Tensor in(TensorShape::chw(1, 2, 2));
+  LayerWeights w;
+  w.weights = {1.0f, 2.0f, 3.0f};
+  w.bias = {0.5f};
+  EXPECT_THROW((void)run_layer(*layer, {{in}}, w), std::invalid_argument);
+  w.weights = {1.0f, 2.0f};
+  w.bias = {0.5f, 0.25f};
+  EXPECT_NO_THROW((void)run_layer(*layer, {{in}}, w));
+}
+
+TEST(Kernels, BiasOnBiasFreeLayerRejected) {
+  // conv2d without bias over 2 channels: 4 weights, 0 biases.
+  const auto conv = dnn::conv2d(2, 1, 1, 0, 1, /*bias=*/false);
+  const Tensor in(TensorShape::chw(2, 2, 2));
+  LayerWeights w;
+  w.weights = {1.0f, 2.0f};
+  w.bias = {0.0f, 0.0f};
+  EXPECT_THROW((void)run_layer(*conv, {{in}}, w), std::invalid_argument);
+  const auto dense = dnn::dense(2, /*bias=*/false);
+  const Tensor flat(TensorShape::flat(3));
+  w.weights = {1, 2, 3, 4};
+  w.bias = {0.0f, 0.0f};
+  EXPECT_THROW((void)run_layer(*dense, {{flat}}, w), std::invalid_argument);
+}
+
+TEST(Kernels, MisSplitDenseBlobsRejected) {
+  const auto layer = dnn::dense(2, /*bias=*/true);
+  const Tensor in(TensorShape::flat(3));
+  LayerWeights w;
+  w.weights = {1, 2, 3, 4, 5, 6, 7};
+  w.bias = {0.5f};
+  EXPECT_THROW((void)run_layer(*layer, {{in}}, w), std::invalid_argument);
+}
+
+TEST(Kernels, BatchNormTakesNoBiasBlob) {
+  // gamma and beta both live in `weights`; a C + C split would read beta
+  // past the end of the weight blob.
+  const auto bn = dnn::batch_norm();
+  const Tensor in(TensorShape::chw(2, 1, 1));
+  LayerWeights w;
+  w.weights = {1.0f, 1.0f};
+  w.bias = {0.0f, 0.0f};
+  EXPECT_THROW((void)run_layer(*bn, {{in}}, w), std::invalid_argument);
+}
+
+TEST(Kernels, WeightSizesSplitParamCount) {
+  const auto conv = dnn::conv2d(6, 3, 1, 1, /*groups=*/2, /*bias=*/true);
+  const TensorShape in = TensorShape::chw(4, 5, 5);
+  const TensorShape out = conv->infer({{in}});
+  const WeightSizes sizes = weight_sizes(*conv, {{in}}, out);
+  EXPECT_EQ(sizes.weights, 6u * 2u * 9u);
+  EXPECT_EQ(sizes.bias, 6u);
+  EXPECT_EQ(sizes.weights + sizes.bias, conv->param_count({{in}}, out));
+}
+
 TEST(Kernels, InputNodesRejected) {
   const auto layer = dnn::input(TensorShape::chw(1, 1, 1));
   EXPECT_THROW((void)run_layer(*layer, {}, LayerWeights{}),
