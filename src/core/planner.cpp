@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "check/contracts.h"
 #include "obs/obs.h"
@@ -182,17 +183,114 @@ void two_type_makespan_batch(double f_a, std::span<const double> g_a,
   }
 }
 
+namespace {
+
+/// The smallest interior split 1 <= n_a <= n_jobs - 1 attaining the least
+/// interior two_type_makespan, with that makespan, for finite stages >= 0
+/// and n_jobs >= 2 (docs/THEORY.md §9).
+///
+/// On the interior the real makespan M(n_a) is the maximum of three lines
+/// (the i = n_a and i = n_a + 1 terms share a slope), so it is convex and
+/// its integer minimum sits next to a crossing of two lines or at an end.
+/// Every term is a sum of non-negative products of counts and stages, each
+/// summand passing through at most three roundings, so the computed value
+/// is within a factor (1 +- 4u) of the real one (u = 2^-53; no step can
+/// overflow under the caller's size bound, and a step that lands among
+/// the subnormals is exact).  Start from the best point near a crossing,
+/// value U: every split whose computed value is <= U has M <= U (1 + 4u),
+/// and that sublevel set is an interval holding the start.  Walking out
+/// from the start, the first split whose computed value clears a
+/// threshold safely above U (1 + 4u) (1 + 4u) lies outside the interval,
+/// so nothing beyond it can win.  Flat lines widen the interval; it never
+/// spans more than the interior.
+std::pair<int, double> best_interior_split(double f_a, double g_a, double f_b,
+                                           double g_b, int n_jobs) {
+  const auto makespan = [&](int n_a) {
+    return two_type_makespan(f_a, g_a, f_b, g_b, n_a, n_jobs - n_a);
+  };
+  const double n = static_cast<double>(n_jobs);
+  // Lines c + s * n_a: the i = 1, the i = n_a (and n_a + 1), and the i = n
+  // terms of two_type_makespan.
+  const double c[] = {f_a + n * g_b, std::max(g_a, f_b) + n * g_b,
+                      n * f_b + g_b};
+  const double s[] = {g_a - g_b, f_a - g_b, f_a - f_b};
+  int start = 1;
+  double start_ms = makespan(1);
+  const auto seed = [&](int n_a) {
+    const double ms = makespan(n_a);
+    if (ms < start_ms) {
+      start_ms = ms;
+      start = n_a;
+    }
+  };
+  seed(n_jobs - 1);
+  for (int i = 0; i < 3; ++i) {
+    for (int j = i + 1; j < 3; ++j) {
+      // The crossing only seeds the walk; NaN or inf (parallel lines)
+      // clamps to an end.
+      const double x = (c[j] - c[i]) / (s[i] - s[j]);
+      const int below = !(x > 1.0)       ? 1
+                        : !(x < n - 1.0) ? n_jobs - 1
+                                         : static_cast<int>(x);
+      seed(below);
+      if (below < n_jobs - 1) seed(below + 1);
+    }
+  }
+  // The added 2^-1072 covers a start among the subnormals, where the
+  // relative margin rounds away (and the arithmetic is exact).
+  const double threshold = start_ms * (1.0 + 0x1p-48) + 0x1p-1072;
+  int best = start;
+  double best_ms = start_ms;
+  for (int n_a = start - 1; n_a >= 1; --n_a) {
+    const double ms = makespan(n_a);
+    if (ms > threshold) break;
+    if (ms <= best_ms) {  // walking down: a tie moves to the smaller n_a
+      best_ms = ms;
+      best = n_a;
+    }
+  }
+  for (int n_a = start + 1; n_a <= n_jobs - 1; ++n_a) {
+    const double ms = makespan(n_a);
+    if (ms > threshold) break;
+    if (ms < best_ms) {
+      best_ms = ms;
+      best = n_a;
+    }
+  }
+  return {best, best_ms};
+}
+
+}  // namespace
+
 int best_two_type_split(double f_a, double g_a, double f_b, double g_b,
                         int n_jobs) {
+  if (!(f_a >= 0.0 && g_a >= 0.0 && f_b >= 0.0 && g_b >= 0.0))
+    throw std::invalid_argument(
+        "best_two_type_split: stage lengths must be >= 0");
+  if (n_jobs <= 0) return 0;
+  const auto makespan = [&](int n_a) {
+    return two_type_makespan(f_a, g_a, f_b, g_b, n_a, n_jobs - n_a);
+  };
+  // The scan's rule over n_a = 0..n_jobs: the first strictly smaller
+  // makespan wins, so the smallest minimizing n_a does.
   int best_split = 0;
-  double best_makespan = std::numeric_limits<double>::infinity();
-  for (int n_a = 0; n_a <= n_jobs; ++n_a) {
-    const double ms = two_type_makespan(f_a, g_a, f_b, g_b, n_a, n_jobs - n_a);
+  double best_makespan = makespan(0);
+  // An infinite stage makes every interior split infinite: only the two
+  // pure runs can win.
+  const bool finite = std::isfinite(f_a) && std::isfinite(g_a) &&
+                      std::isfinite(f_b) && std::isfinite(g_b);
+  if (finite && n_jobs >= 2) {
+    if (!((f_a + g_a + f_b + g_b) * (static_cast<double>(n_jobs) + 2.0) <
+          0x1p1023))
+      throw std::invalid_argument(
+          "best_two_type_split: makespan would overflow a double");
+    const auto [n_a, ms] = best_interior_split(f_a, g_a, f_b, g_b, n_jobs);
     if (ms < best_makespan) {
       best_makespan = ms;
       best_split = n_a;
     }
   }
+  if (makespan(n_jobs) < best_makespan) best_split = n_jobs;
   return best_split;
 }
 
@@ -201,8 +299,9 @@ ExecutionPlan Planner::best_split_plan(Strategy strategy, std::size_t a,
   // The curve is monotone and a < b, so f(a) <= f(b) and g(a) >= g(b): the
   // Johnson order of any mix is "all a-jobs before all b-jobs" (a-jobs win
   // S1's ascending-f and S2's descending-g tie-breaks alike).  That fixed
-  // order makes each candidate split O(1) to evaluate, and the whole sweep
-  // O(n) instead of the former O(n^2 log n) of one finalize() per split.
+  // order makes each candidate split's makespan an O(1) formula, and the
+  // best split an O(1) search over it; finalize() then costs O(n), since
+  // the cuts below already arrive in Johnson order.
   const int n_a = best_two_type_split(curve_.f(a), curve_.g(a), curve_.f(b),
                                       curve_.g(b), n_jobs);
   std::vector<std::size_t> cuts(static_cast<std::size_t>(n_jobs), b);

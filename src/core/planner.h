@@ -81,9 +81,15 @@ void two_type_makespan_batch(double f_a, std::span<const double> g_a,
 
 /// The split n_a (jobs at cut a; the remaining n - n_a sit at cut b)
 /// minimizing two_type_makespan, with the smallest minimizing n_a winning
-/// ties.  O(n).  Requires cut a to precede cut b on a monotone curve
-/// (f_a <= f_b, g_a >= g_b), which pins the Johnson order to "all a-jobs
-/// before all b-jobs" for every split.
+/// ties — exactly what scanning n_a = 0..n_jobs would return.  O(1) for
+/// any n_jobs: two_type_makespan is evaluated only near the crossings of
+/// its three interior lines and at the two pure runs (docs/THEORY.md §9);
+/// a pair whose optimum lies on a flat line costs up to the width of that
+/// plateau.  The planner calls it with cut a preceding cut b on a monotone
+/// curve (f_a <= f_b, g_a >= g_b), which pins the Johnson order to "all
+/// a-jobs before all b-jobs" for every split.  Throws
+/// std::invalid_argument for a negative or NaN stage, or finite stages so
+/// large that (n_jobs + 2) * (f_a + g_a + f_b + g_b) reaches 2^1023.
 [[nodiscard]] int best_two_type_split(double f_a, double g_a, double f_b,
                                       double g_b, int n_jobs);
 
@@ -135,7 +141,7 @@ class Planner {
   /// tests/core/plan_sweep_test.cpp pins this).  This is the hot path of
   /// the fig13/fig14 sweeps and any per-request planning service: the f
   /// and offload-bytes lanes are hoisted once, and each point costs one
-  /// O(cuts + n_jobs) lane scan.
+  /// O(cuts) lane scan plus an O(1) split and an O(log n_jobs) makespan.
   ///
   /// Supported strategies: LO, CO, PO, JPS, JPS*, JPS+.  Throws
   /// std::invalid_argument for n_jobs < 1, for kBruteForce/kRobust (they
@@ -169,7 +175,7 @@ class Planner {
 
  private:
   /// Best split of n jobs between cuts `a` and `b` (a < b on the monotone
-  /// curve): O(n) sweep via best_two_type_split, then one finalize().
+  /// curve): best_two_type_split, then one finalize().
   [[nodiscard]] ExecutionPlan best_split_plan(Strategy strategy, std::size_t a,
                                               std::size_t b, int n_jobs) const;
 

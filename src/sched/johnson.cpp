@@ -14,14 +14,21 @@ JohnsonSchedule johnson_order(std::span<const Job> jobs) {
       throw std::invalid_argument("johnson_order: negative stage length");
     (jobs[i].f < jobs[i].g ? s1 : s2).push_back(i);
   }
-  std::sort(s1.begin(), s1.end(), [&](std::size_t a, std::size_t b) {
-    if (jobs[a].f != jobs[b].f) return jobs[a].f < jobs[b].f;  // ascending f
+  // Index tie-breaks make both comparators strict total orders, so the
+  // sorted permutation is unique and an already sorted run (every two-type
+  // plan on a monotone curve) can skip the O(n log n) sort.
+  const auto ascending_f = [&](std::size_t a, std::size_t b) {
+    if (jobs[a].f != jobs[b].f) return jobs[a].f < jobs[b].f;
     return a < b;
-  });
-  std::sort(s2.begin(), s2.end(), [&](std::size_t a, std::size_t b) {
-    if (jobs[a].g != jobs[b].g) return jobs[a].g > jobs[b].g;  // descending g
+  };
+  const auto descending_g = [&](std::size_t a, std::size_t b) {
+    if (jobs[a].g != jobs[b].g) return jobs[a].g > jobs[b].g;
     return a < b;
-  });
+  };
+  if (!std::is_sorted(s1.begin(), s1.end(), ascending_f))
+    std::sort(s1.begin(), s1.end(), ascending_f);
+  if (!std::is_sorted(s2.begin(), s2.end(), descending_g))
+    std::sort(s2.begin(), s2.end(), descending_g);
   schedule.comm_heavy_count = s1.size();
   schedule.order = std::move(s1);
   schedule.order.insert(schedule.order.end(), s2.begin(), s2.end());

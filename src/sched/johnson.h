@@ -19,7 +19,8 @@ struct JohnsonSchedule {
   std::size_t comm_heavy_count = 0;
 };
 
-/// Compute the Johnson order of `jobs`.  O(n log n).  This order minimizes
+/// Compute the Johnson order of `jobs`.  O(n log n); O(n) when S1 and S2
+/// already arrive in their sorted order.  This order minimizes
 /// the makespan of the 2-stage pipeline (computation then communication) —
 /// the classical optimality of Johnson's rule [Johnson 1954].
 /// Ties are broken by job index, making the result deterministic.

@@ -48,11 +48,16 @@ struct JobTimeline {
                                         std::span<const double> g);
 
 /// flowshop2_makespan of the two-run sequence "n_a jobs of (f_a, g_a) then
-/// n_b jobs of (f_b, g_b)" without materializing the jobs.  Runs the exact
-/// recurrence (same additions, same order), so it is bit-identical to
-/// flowshop2_makespan on that sequence — unlike core::two_type_makespan,
+/// n_b jobs of (f_b, g_b)" without materializing the jobs, in O(log n).
+/// The result is bit-identical to running the recurrence job by job
+/// (flowshop2_makespan on that sequence) — unlike core::two_type_makespan,
 /// which evaluates the O(1) endpoint identity and may differ in the last
-/// ulp.  Negative counts are treated as empty runs.
+/// ulp.  Within a run the recurrence's max settles after the first job, so
+/// each run is two repeated sums, and a repeated sum adds one fixed
+/// multiple of the ulp per step inside a binade; whole stretches are jumped
+/// exactly (docs/THEORY.md §9).  Infinite and NaN stages give the
+/// recurrence's own results.  Negative counts are treated as empty runs;
+/// a negative stage in a non-empty run throws std::invalid_argument.
 [[nodiscard]] double two_type_flowshop2_makespan(double f_a, double g_a,
                                                  int n_a, double f_b,
                                                  double g_b, int n_b);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 
 #include "sched/bruteforce.h"
@@ -49,6 +51,46 @@ TEST(Johnson, EmptyJobList) {
 TEST(Johnson, RejectsNegativeStageLengths) {
   EXPECT_THROW(johnson_order(make_jobs({{-1, 2}})), std::invalid_argument);
   EXPECT_THROW(johnson_order(make_jobs({{1, -2}})), std::invalid_argument);
+}
+
+TEST(Johnson, SortedAndShuffledInputsGiveTheSameSequence) {
+  // The comparators break ties by index, so the sorted permutation is
+  // unique: a pre-sorted input (which skips the sort) must come back as the
+  // identity, and any shuffle of it must schedule the same key sequence.
+  util::Rng rng(53);
+  for (int trial = 0; trial < 200; ++trial) {
+    JobList jobs;
+    const int n = static_cast<int>(rng.uniform_int(0, 40));
+    for (int i = 0; i < n; ++i) {
+      // Few distinct values, so ties are common on both sides.
+      jobs.push_back(Job{.id = i,
+                         .cut = -1,
+                         .f = static_cast<double>(rng.uniform_int(0, 4)),
+                         .g = static_cast<double>(rng.uniform_int(0, 4))});
+    }
+    const JobList sorted = apply_order(jobs, johnson_order(jobs).order);
+    const JohnsonSchedule again = johnson_order(sorted);
+    for (std::size_t i = 0; i < again.order.size(); ++i)
+      ASSERT_EQ(again.order[i], i) << "trial " << trial;
+
+    JobList shuffled = sorted;
+    for (std::size_t i = shuffled.size(); i > 1; --i)
+      std::swap(shuffled[i - 1],
+                shuffled[static_cast<std::size_t>(rng.uniform_int(
+                    0, static_cast<std::int64_t>(i) - 1))]);
+    const JohnsonSchedule from_shuffled = johnson_order(shuffled);
+    EXPECT_EQ(from_shuffled.comm_heavy_count, again.comm_heavy_count);
+    // Jobs that tie on the sort key may swap with their indices; the keys
+    // (f in S1, g in S2) must line up.
+    const JobList resorted = apply_order(shuffled, from_shuffled.order);
+    for (std::size_t i = 0; i < resorted.size(); ++i) {
+      if (i < again.comm_heavy_count) {
+        EXPECT_EQ(resorted[i].f, sorted[i].f) << "trial " << trial;
+      } else {
+        EXPECT_EQ(resorted[i].g, sorted[i].g) << "trial " << trial;
+      }
+    }
+  }
 }
 
 TEST(ApplyOrder, ReordersAndValidates) {
