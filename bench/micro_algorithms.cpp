@@ -129,9 +129,9 @@ void BM_PlanJpsHull(benchmark::State& state) {
     benchmark::DoNotOptimize(planner.plan(core::Strategy::kJPSHull, n));
   }
 }
-// The two-type split sweep is O(n) in the job count now (it used to call
-// finalize() per candidate split: O(n^2 log n)), so job counts in the tens
-// of thousands plan in microseconds.
+// The two-type split is O(1) in the job count and assembling the plan O(n)
+// (it used to assemble a plan per candidate split: O(n^2 log n)), so job
+// counts in the tens of thousands plan in microseconds.
 BENCHMARK(BM_PlanJpsHull)->Arg(10)->Arg(100)->Arg(1000)->Arg(100000);
 
 void BM_PlanJpsTuned(benchmark::State& state) {

@@ -82,43 +82,6 @@ ExecutionPlan assemble_plan(const partition::ProfileCurve& curve,
   return plan;
 }
 
-Planner::Planner(partition::ProfileCurve curve, PlannerOptions options)
-    : curve_(std::move(curve)), options_(options) {
-  JPS_REQUIRE(curve_.size() >= 1, "a plannable curve has at least one cut");
-  decision_ = partition::binary_search_cut(curve_);
-}
-
-std::size_t Planner::single_job_optimal_cut() const {
-  std::size_t best = 0;
-  double best_latency = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < curve_.size(); ++i) {
-    const double latency = curve_.f(i) + curve_.g(i);
-    if (latency < best_latency) {
-      best_latency = latency;
-      best = i;
-    }
-  }
-  return best;
-}
-
-std::vector<std::size_t> Planner::lower_hull_cuts() const {
-  // Andrew's monotone chain, lower hull only.  Cuts are already sorted by
-  // ascending f; ties in f keep the later (smaller-g) point via <= pops.
-  const auto cross = [&](std::size_t o, std::size_t a, std::size_t b) {
-    return (curve_.f(a) - curve_.f(o)) * (curve_.g(b) - curve_.g(o)) -
-           (curve_.g(a) - curve_.g(o)) * (curve_.f(b) - curve_.f(o));
-  };
-  std::vector<std::size_t> hull;
-  for (std::size_t i = 0; i < curve_.size(); ++i) {
-    while (hull.size() >= 2 &&
-           cross(hull[hull.size() - 2], hull.back(), i) <= 0.0) {
-      hull.pop_back();
-    }
-    hull.push_back(i);
-  }
-  return hull;
-}
-
 double two_type_makespan(double f_a, double g_a, double f_b, double g_b,
                          int n_a, int n_b) {
   // makespan = max_i (F_i + G_i) with F_i the f-prefix through job i and
@@ -294,24 +257,136 @@ int best_two_type_split(double f_a, double g_a, double f_b, double g_b,
   return best_split;
 }
 
-ExecutionPlan Planner::best_split_plan(Strategy strategy, std::size_t a,
-                                       std::size_t b, int n_jobs) const {
-  // The curve is monotone and a < b, so f(a) <= f(b) and g(a) >= g(b): the
-  // Johnson order of any mix is "all a-jobs before all b-jobs" (a-jobs win
-  // S1's ascending-f and S2's descending-g tie-breaks alike).  That fixed
-  // order makes each candidate split's makespan an O(1) formula, and the
-  // best split an O(1) search over it; finalize() then costs O(n), since
-  // the cuts below already arrive in Johnson order.
-  const int n_a = best_two_type_split(curve_.f(a), curve_.g(a), curve_.f(b),
-                                      curve_.g(b), n_jobs);
-  std::vector<std::size_t> cuts(static_cast<std::size_t>(n_jobs), b);
-  for (int i = 0; i < n_a; ++i) cuts[static_cast<std::size_t>(i)] = a;
-  return finalize(strategy, cuts);
+std::size_t single_job_optimal_cut(std::span<const double> f,
+                                   std::span<const double> g) {
+  std::size_t best = 0;
+  double best_latency = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    const double latency = f[i] + g[i];
+    if (latency < best_latency) {
+      best_latency = latency;
+      best = i;
+    }
+  }
+  return best;
 }
 
-ExecutionPlan Planner::finalize(Strategy strategy,
-                                const std::vector<std::size_t>& cuts) const {
-  return assemble_plan(curve_, strategy, cuts);
+namespace {
+
+// BF switches from exact multiset enumeration to the two-type search above
+// this many assignments.
+constexpr std::uint64_t kBruteForceExactCap = 2'000'000;
+
+// Andrew's monotone chain, lower hull only.  Cuts are already sorted by
+// ascending f; ties in f keep the later (smaller-g) point via <= pops.
+void lower_hull(std::span<const double> f, std::span<const double> g,
+                std::vector<std::size_t>& hull) {
+  const auto cross = [&](std::size_t o, std::size_t a, std::size_t b) {
+    return (f[a] - f[o]) * (g[b] - g[o]) - (g[a] - g[o]) * (f[b] - f[o]);
+  };
+  hull.clear();
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    while (hull.size() >= 2 &&
+           cross(hull[hull.size() - 2], hull.back(), i) <= 0.0) {
+      hull.pop_back();
+    }
+    hull.push_back(i);
+  }
+}
+
+/// A plan decision: the first n_a jobs at cut_a, the rest at cut_b.
+struct Decision {
+  std::size_t cut_a = 0;
+  std::size_t cut_b = 0;
+  int n_a = 0;
+};
+
+/// The one decision procedure for LO, CO, PO, JPS, JPS* and JPS+, over the
+/// (f, g) lanes of a monotone curve.  `hull_scratch` is reused storage for
+/// the JPS+ hull.
+Decision lane_decide(Strategy strategy, int n_jobs, std::span<const double> f,
+                     std::span<const double> g,
+                     std::vector<std::size_t>& hull_scratch) {
+  Decision d;
+  switch (strategy) {
+    case Strategy::kLocalOnly:
+      d.cut_a = d.cut_b = f.size() - 1;
+      break;
+    case Strategy::kCloudOnly:
+      d.cut_a = d.cut_b = 0;
+      break;
+    case Strategy::kPartitionOnly:
+      d.cut_a = d.cut_b = single_job_optimal_cut(f, g);
+      break;
+    case Strategy::kJPS:
+    case Strategy::kJPSTuned: {
+      // The paper's pair (l*-1, l*): JPS splits it by Theorem 5.3's
+      // balance, JPS* by the exact best split.
+      int probes = 0;
+      const std::size_t l_star = partition::l_star_search(f, g, probes);
+      d.cut_a = d.cut_b = l_star;
+      if (l_star == 0) break;
+      d.cut_a = l_star - 1;
+      d.n_a = strategy == Strategy::kJPS
+                  ? jobs_at_l_minus(f[l_star] - g[l_star],
+                                    g[l_star - 1] - f[l_star - 1], n_jobs)
+                  : best_two_type_split(f[d.cut_a], g[d.cut_a], f[d.cut_b],
+                                        g[d.cut_b], n_jobs);
+      break;
+    }
+    case Strategy::kJPSHull: {
+      // Mixing pair = the lower-hull-adjacent cuts bracketing f = g.
+      lower_hull(f, g, hull_scratch);
+      std::size_t pos = hull_scratch.size() - 1;  // first hull cut with f >= g
+      for (std::size_t i = 0; i < hull_scratch.size(); ++i) {
+        if (f[hull_scratch[i]] >= g[hull_scratch[i]]) {
+          pos = i;
+          break;
+        }
+      }
+      if (pos == 0) {
+        d.cut_a = d.cut_b = hull_scratch.front();
+        break;
+      }
+      d.cut_a = hull_scratch[pos - 1];
+      d.cut_b = hull_scratch[pos];
+      d.n_a = best_two_type_split(f[d.cut_a], g[d.cut_a], f[d.cut_b],
+                                  g[d.cut_b], n_jobs);
+      break;
+    }
+    case Strategy::kBruteForce:
+    case Strategy::kRobust:
+      throw std::invalid_argument(
+          "lane_decide: strategy is not a two-cut-type decision");
+  }
+  return d;
+}
+
+// Per-job cuts of a decision, already in Johnson order: on a monotone curve
+// cut_a precedes cut_b (f(a) <= f(b), g(a) >= g(b)), so "all a-jobs before
+// all b-jobs" wins S1's ascending-f and S2's descending-g tie-breaks alike,
+// and assemble_plan's order check costs O(n).
+std::vector<std::size_t> mix_cuts(const Decision& d, int n_jobs) {
+  std::vector<std::size_t> cuts(static_cast<std::size_t>(n_jobs), d.cut_b);
+  std::fill_n(cuts.begin(), d.n_a, d.cut_a);
+  return cuts;
+}
+
+}  // namespace
+
+Planner::Planner(partition::ProfileCurve curve) : curve_(std::move(curve)) {
+  JPS_REQUIRE(curve_.size() >= 1, "a plannable curve has at least one cut");
+  decision_ = partition::binary_search_cut(curve_);
+}
+
+std::size_t Planner::single_job_optimal_cut() const {
+  return core::single_job_optimal_cut(curve_.f_lane(), curve_.g_lane());
+}
+
+std::vector<std::size_t> Planner::lower_hull_cuts() const {
+  std::vector<std::size_t> hull;
+  lower_hull(curve_.f_lane(), curve_.g_lane(), hull);
+  return hull;
 }
 
 ExecutionPlan Planner::plan(Strategy strategy, int n_jobs) const {
@@ -334,208 +409,30 @@ ExecutionPlan Planner::plan(Strategy strategy, int n_jobs) const {
 
 ExecutionPlan Planner::plan_impl(Strategy strategy, int n_jobs) const {
   const auto start = Clock::now();
-  const auto n = static_cast<std::size_t>(n_jobs);
-
-  std::vector<std::size_t> cuts(n, 0);
-  switch (strategy) {
-    case Strategy::kLocalOnly:
-      std::fill(cuts.begin(), cuts.end(), curve_.local_only_index());
-      break;
-    case Strategy::kCloudOnly:
-      std::fill(cuts.begin(), cuts.end(), curve_.cloud_only_index());
-      break;
-    case Strategy::kPartitionOnly:
-      std::fill(cuts.begin(), cuts.end(), single_job_optimal_cut());
-      break;
-    case Strategy::kJPS: {
-      const std::size_t l_star = decision_.l_star;
-      std::fill(cuts.begin(), cuts.end(), l_star);
-      if (decision_.l_minus) {
-        const double surplus = curve_.f(l_star) - curve_.g(l_star);
-        const double deficit =
-            curve_.g(*decision_.l_minus) - curve_.f(*decision_.l_minus);
-        const int n_minus = jobs_at_l_minus(surplus, deficit, n_jobs);
-        for (int i = 0; i < n_minus; ++i)
-          cuts[static_cast<std::size_t>(i)] = *decision_.l_minus;
-      }
-      break;
+  std::vector<std::size_t> cuts;
+  if (strategy == Strategy::kBruteForce) {
+    const std::vector<sched::CutOption> options = curve_.as_cut_options();
+    sched::BruteForceResult result;
+    try {
+      result = sched::bruteforce_exact(options, n_jobs, kBruteForceExactCap);
+    } catch (const std::invalid_argument&) {
+      result = sched::bruteforce_two_type(options, n_jobs);
     }
-    case Strategy::kJPSTuned: {
-      // The paper's pair (l*-1, l*) with the split swept exactly.
-      if (!decision_.l_minus) {
-        std::fill(cuts.begin(), cuts.end(), decision_.l_star);
-        break;
-      }
-      ExecutionPlan p = best_split_plan(strategy, *decision_.l_minus,
-                                        decision_.l_star, n_jobs);
-      p.decision_overhead_ms = ms_since(start);
-      return p;
-    }
-    case Strategy::kJPSHull: {
-      // Mixing pair = the lower-hull-adjacent cuts bracketing f = g.
-      const std::vector<std::size_t> hull = lower_hull_cuts();
-      std::size_t pos = hull.size() - 1;  // first hull cut with f >= g
-      for (std::size_t i = 0; i < hull.size(); ++i) {
-        if (curve_.f(hull[i]) >= curve_.g(hull[i])) {
-          pos = i;
-          break;
-        }
-      }
-      if (pos == 0) {
-        std::fill(cuts.begin(), cuts.end(), hull.front());
-        break;
-      }
-      ExecutionPlan p =
-          best_split_plan(strategy, hull[pos - 1], hull[pos], n_jobs);
-      p.decision_overhead_ms = ms_since(start);
-      return p;
-    }
-    case Strategy::kBruteForce: {
-      const std::vector<sched::CutOption> options = curve_.as_cut_options();
-      sched::BruteForceResult result;
-      try {
-        result = sched::bruteforce_exact(options, n_jobs, options_.bf_exact_cap);
-      } catch (const std::invalid_argument&) {
-        result = sched::bruteforce_two_type(options, n_jobs);
-      }
-      for (std::size_t i = 0; i < n; ++i)
-        cuts[i] = static_cast<std::size_t>(result.cuts[i]);
-      break;
-    }
-    case Strategy::kRobust:
-      throw std::invalid_argument(
-          "Planner::plan: robust plans need a bandwidth interval; use "
-          "core::RobustPlanner");
+    cuts.assign(result.cuts.begin(), result.cuts.end());
+  } else if (strategy == Strategy::kRobust) {
+    throw std::invalid_argument(
+        "Planner::plan: robust plans need a bandwidth interval; use "
+        "core::RobustPlanner");
+  } else {
+    std::vector<std::size_t> hull_scratch;
+    cuts = mix_cuts(lane_decide(strategy, n_jobs, curve_.f_lane(),
+                                curve_.g_lane(), hull_scratch),
+                    n_jobs);
   }
-
-  ExecutionPlan plan = finalize(strategy, cuts);
+  ExecutionPlan plan = assemble_plan(curve_, strategy, cuts);
   plan.decision_overhead_ms = ms_since(start);
   return plan;
 }
-
-namespace {
-
-/// One sweep point's decision: the two-type mix (a, b, n_a).
-struct SweepDecision {
-  std::size_t cut_a = 0;
-  std::size_t cut_b = 0;
-  int n_a = 0;
-};
-
-// The scalar planner's decision logic re-expressed over (f, g) lanes.  Each
-// helper mirrors its ProfileCurve/Planner counterpart operation-for-
-// operation so the sweep's choices match the per-point scalar path exactly
-// (the plan_sweep differential suite pins this).
-
-// binary_search_cut's loop: leftmost index with f >= g on a monotone curve.
-std::size_t lane_l_star(std::span<const double> f, std::span<const double> g) {
-  std::size_t lo = 0;
-  std::size_t hi = f.size() - 1;
-  while (lo < hi) {
-    const std::size_t mid = (lo + hi) / 2;
-    if (f[mid] < g[mid]) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-// Planner::single_job_optimal_cut: first argmin of f + g.
-std::size_t lane_po_cut(std::span<const double> f, std::span<const double> g) {
-  std::size_t best = 0;
-  double best_latency = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < f.size(); ++i) {
-    const double latency = f[i] + g[i];
-    if (latency < best_latency) {
-      best_latency = latency;
-      best = i;
-    }
-  }
-  return best;
-}
-
-// Planner::lower_hull_cuts: Andrew's monotone chain, lower hull only.
-void lane_lower_hull(std::span<const double> f, std::span<const double> g,
-                     std::vector<std::size_t>& hull) {
-  const auto cross = [&](std::size_t o, std::size_t a, std::size_t b) {
-    return (f[a] - f[o]) * (g[b] - g[o]) - (g[a] - g[o]) * (f[b] - f[o]);
-  };
-  hull.clear();
-  for (std::size_t i = 0; i < f.size(); ++i) {
-    while (hull.size() >= 2 &&
-           cross(hull[hull.size() - 2], hull.back(), i) <= 0.0) {
-      hull.pop_back();
-    }
-    hull.push_back(i);
-  }
-}
-
-SweepDecision lane_decide(Strategy strategy, int n_jobs,
-                          std::span<const double> f, std::span<const double> g,
-                          std::vector<std::size_t>& hull_scratch) {
-  SweepDecision d;
-  switch (strategy) {
-    case Strategy::kLocalOnly:
-      d.cut_a = d.cut_b = f.size() - 1;
-      break;
-    case Strategy::kCloudOnly:
-      d.cut_a = d.cut_b = 0;
-      break;
-    case Strategy::kPartitionOnly:
-      d.cut_a = d.cut_b = lane_po_cut(f, g);
-      break;
-    case Strategy::kJPS: {
-      const std::size_t l_star = lane_l_star(f, g);
-      d.cut_a = d.cut_b = l_star;
-      if (l_star > 0) {
-        d.cut_a = l_star - 1;
-        const double surplus = f[l_star] - g[l_star];
-        const double deficit = g[l_star - 1] - f[l_star - 1];
-        d.n_a = jobs_at_l_minus(surplus, deficit, n_jobs);
-      }
-      break;
-    }
-    case Strategy::kJPSTuned: {
-      const std::size_t l_star = lane_l_star(f, g);
-      d.cut_a = d.cut_b = l_star;
-      if (l_star > 0) {
-        d.cut_a = l_star - 1;
-        d.n_a = best_two_type_split(f[d.cut_a], g[d.cut_a], f[d.cut_b],
-                                    g[d.cut_b], n_jobs);
-      }
-      break;
-    }
-    case Strategy::kJPSHull: {
-      lane_lower_hull(f, g, hull_scratch);
-      std::size_t pos = hull_scratch.size() - 1;
-      for (std::size_t i = 0; i < hull_scratch.size(); ++i) {
-        if (f[hull_scratch[i]] >= g[hull_scratch[i]]) {
-          pos = i;
-          break;
-        }
-      }
-      if (pos == 0) {
-        d.cut_a = d.cut_b = hull_scratch.front();
-        break;
-      }
-      d.cut_a = hull_scratch[pos - 1];
-      d.cut_b = hull_scratch[pos];
-      d.n_a = best_two_type_split(f[d.cut_a], g[d.cut_a], f[d.cut_b],
-                                  g[d.cut_b], n_jobs);
-      break;
-    }
-    case Strategy::kBruteForce:
-    case Strategy::kRobust:
-      throw std::invalid_argument(
-          "Planner::plan_sweep: strategy is not O(cuts) per point; use "
-          "plan() / RobustPlanner");
-  }
-  return d;
-}
-
-}  // namespace
 
 PlanSweep Planner::plan_sweep(Strategy strategy, int n_jobs,
                               std::span<const double> bandwidths,
@@ -579,26 +476,26 @@ PlanSweep Planner::plan_sweep(Strategy strategy, int n_jobs,
   for (std::size_t p = 0; p < bandwidths.size(); ++p) {
     // Re-derive g at this rate exactly as ProfileCurve::with_bandwidth does
     // (same Channel::time_ms call on the same bytes), so every comparison
-    // below sees the same doubles the scalar path would.
+    // below sees the same doubles a rebased curve's g_lane() holds.
     const net::Channel at_rate = channel.with_bandwidth(bandwidths[p]);
     for (std::size_t i = 0; i < cuts; ++i)
       g[i] = bytes[i] > 0 ? at_rate.time_ms(bytes[i]) : 0.0;
-    // Parity with the scalar path's constructor-time monotonicity check
-    // (an affine rebase preserves monotonicity, but a custom-built curve
-    // may not start monotone).
+    // Parity with the Planner constructor's monotonicity check (an affine
+    // rebase preserves monotonicity, but a custom-built curve may not start
+    // monotone).
     for (std::size_t i = 1; i < cuts; ++i) {
       if (f[i] < f[i - 1] || g[i] > g[i - 1])
         throw std::invalid_argument(
             "Planner::plan_sweep: curve is not monotone at this bandwidth; "
             "cluster it first");
     }
-    const SweepDecision d = lane_decide(strategy, n_jobs, f, g, hull_scratch);
+    const Decision d = lane_decide(strategy, n_jobs, f, g, hull_scratch);
     sweep.cut_a[p] = d.cut_a;
     sweep.cut_b[p] = d.cut_b;
     sweep.n_a[p] = d.n_a;
     // The Johnson order of any such mix is "all a-jobs before all b-jobs"
-    // (see best_split_plan), so the exact recurrence over the two runs
-    // reproduces finalize()'s flowshop2_makespan bit-for-bit.
+    // (see mix_cuts), so the exact recurrence over the two runs reproduces
+    // assemble_plan's flowshop2_makespan bit-for-bit.
     sweep.makespan_ms[p] = sched::two_type_flowshop2_makespan(
         f[d.cut_a], g[d.cut_a], d.n_a, f[d.cut_b], g[d.cut_b],
         n_jobs - d.n_a);
@@ -612,11 +509,9 @@ ExecutionPlan Planner::materialize(const PlanSweep& sweep, std::size_t k,
     throw std::out_of_range("Planner::materialize: point out of range");
   const partition::ProfileCurve rebased =
       curve_.with_bandwidth(channel, sweep.bandwidth_mbps[k]);
-  std::vector<std::size_t> cuts(static_cast<std::size_t>(sweep.n_jobs),
-                                sweep.cut_b[k]);
-  for (int i = 0; i < sweep.n_a[k]; ++i)
-    cuts[static_cast<std::size_t>(i)] = sweep.cut_a[k];
-  ExecutionPlan plan = assemble_plan(rebased, sweep.strategy, cuts);
+  ExecutionPlan plan = assemble_plan(
+      rebased, sweep.strategy,
+      mix_cuts({sweep.cut_a[k], sweep.cut_b[k], sweep.n_a[k]}, sweep.n_jobs));
   JPS_ENSURE(plan.predicted_makespan == sweep.makespan_ms[k],
              "materialized plan must reproduce the sweep makespan "
              "bit-for-bit");

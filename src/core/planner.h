@@ -10,8 +10,10 @@
 //   PO   — the state-of-the-art single-DNN partition [Hu et al. 2019 /
 //          Neurosurgeon]: the cut minimizing a single job's latency
 //          f(l) + g(l), applied homogeneously; no pipeline-aware mixing.
-//   JPS  — Alg. 2's binary search for (l*-1, l*) and the Theorem 5.3 floor
-//          ratio between the two cut types.
+//   JPS  — Alg. 2's binary search for (l*-1, l*) and Theorem 5.3's balance
+//          between the two cut types, applied as round(n·s/(s+d)) jobs at
+//          l*-1 (s = f(l*) - g(l*), d = g(l*-1) - f(l*-1); DESIGN.md §5a).
+//          The paper's floor ratio is still reported by decision().ratio.
 //   JPS* — same two cut types, but the split is swept exactly (the Fig. 14
 //          tuning knob); never worse than JPS.
 //   JPS+ — our extension: the mixing pair is chosen adjacent on the LOWER
@@ -25,10 +27,15 @@
 //          CO + LO endpoint mix — and JPS+ recovers the BF optimum.
 //   BF   — brute force: exact multiset enumeration when tractable,
 //          otherwise all two-cut-type assignments (see sched/bruteforce.h).
+//
+// Every strategy but BF is a two-cut-type mix (cut_a, cut_b, n_a), and one
+// decision procedure over the curve's (f, g) lanes computes it for both
+// plan() and plan_sweep().
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <span>
+#include <vector>
 
 #include "core/plan.h"
 #include "net/channel.h"
@@ -36,13 +43,6 @@
 #include "partition/profile_curve.h"
 
 namespace jps::core {
-
-/// Planner tuning knobs.
-struct PlannerOptions {
-  /// BF switches from exact multiset enumeration to the two-type search
-  /// above this many assignments.
-  std::uint64_t bf_exact_cap = 2'000'000;
-};
 
 /// Makespan of the two-cut-type schedule "n_a jobs at (f_a, g_a) then n_b
 /// jobs at (f_b, g_b)" in O(1), via the permutation-flow-shop identity
@@ -56,10 +56,10 @@ struct PlannerOptions {
 /// critical-path term is linear in i, so interior positions never dominate
 /// their run's endpoints).  For an arbitrary job order interior terms can
 /// dominate — evaluate sched::closed_form_makespan (the full identity)
-/// instead.  The planner only calls this from best_split_plan, whose
-/// Johnson order on a monotone curve guarantees the shape; the differential
-/// tests in tests/core/planner_test.cpp cross-check the resulting plans
-/// against the discrete-event simulator.
+/// instead.  The planner only calls this (through best_two_type_split) for
+/// a pair cut_a < cut_b of a monotone curve, whose Johnson order guarantees
+/// the shape; the differential tests in tests/core/planner_test.cpp
+/// cross-check the resulting plans against the discrete-event simulator.
 ///
 /// An empty run is ignored entirely: its (f, g) pair is never read, so a
 /// degenerate cut (e.g. an infinite g from a zero-bandwidth probe) offered
@@ -94,11 +94,16 @@ void two_type_makespan_batch(double f_a, std::span<const double> g_a,
                                       double g_b, int n_jobs);
 
 /// Assemble, Johnson-order and evaluate a plan from per-job cut indices
-/// into `curve`.  Shared by Planner::finalize, the robust planner and the
-/// fault-aware replanning hook.
+/// into `curve`.  Shared by Planner::plan, Planner::materialize, the robust
+/// planner and the fault-aware replanning hook.
 [[nodiscard]] ExecutionPlan assemble_plan(const partition::ProfileCurve& curve,
                                           Strategy strategy,
                                           const std::vector<std::size_t>& cuts);
+
+/// The PO rule: the first argmin over cuts of single-job latency f[i] + g[i]
+/// (0 for empty lanes).  Shared by the planner and plan_hetero.
+[[nodiscard]] std::size_t single_job_optimal_cut(std::span<const double> f,
+                                                 std::span<const double> g);
 
 /// Structure-of-arrays result of Planner::plan_sweep: lane entry k is the
 /// plan decision at bandwidth_mbps[k].  Every strategy this planner family
@@ -123,7 +128,7 @@ struct PlanSweep {
 class Planner {
  public:
   /// The curve must be monotone (built with clustering on).
-  explicit Planner(partition::ProfileCurve curve, PlannerOptions options = {});
+  explicit Planner(partition::ProfileCurve curve);
 
   /// Plan `n_jobs` identical jobs with the given strategy.
   /// Throws std::invalid_argument for n_jobs < 1.
@@ -134,7 +139,8 @@ class Planner {
   /// a rebased ProfileCurve, a Planner, or an ExecutionPlan per point.
   /// `channel` supplies the affine comm model (setup latency, jitter) that
   /// is re-based to each rate, exactly as ProfileCurve::with_bandwidth
-  /// does, so lane k reproduces
+  /// does, and the re-based g lane goes through the same decision procedure
+  /// plan() uses, so lane k equals
   ///   Planner(curve().with_bandwidth(channel, bandwidths[k]))
   ///       .plan(strategy, n_jobs)
   /// bit-for-bit in cuts, order and makespan (the differential suite in
@@ -151,8 +157,8 @@ class Planner {
                                      std::span<const double> bandwidths,
                                      const net::Channel& channel) const;
 
-  /// Expand lane `k` of a sweep into the full ExecutionPlan the scalar path
-  /// would have produced at that bandwidth (same cuts, same Johnson order,
+  /// Expand lane `k` of a sweep into the full ExecutionPlan that plan()
+  /// produces at that bandwidth (same cuts, same Johnson order,
   /// bit-identical makespan).  Costs one curve rebase + assemble_plan; use
   /// it for the points you actually execute, not for the whole sweep.
   [[nodiscard]] ExecutionPlan materialize(const PlanSweep& sweep,
@@ -166,7 +172,7 @@ class Planner {
 
   [[nodiscard]] const partition::ProfileCurve& curve() const { return curve_; }
 
-  /// The PO cut: argmin over cuts of single-job latency f + g.
+  /// The PO cut: single_job_optimal_cut over this curve's lanes.
   [[nodiscard]] std::size_t single_job_optimal_cut() const;
 
   /// Indices of the cuts on the lower convex hull of the (f, g) point set,
@@ -174,20 +180,10 @@ class Planner {
   [[nodiscard]] std::vector<std::size_t> lower_hull_cuts() const;
 
  private:
-  /// Best split of n jobs between cuts `a` and `b` (a < b on the monotone
-  /// curve): best_two_type_split, then one finalize().
-  [[nodiscard]] ExecutionPlan best_split_plan(Strategy strategy, std::size_t a,
-                                              std::size_t b, int n_jobs) const;
-
-  /// Assemble, order (Johnson) and evaluate a plan from per-job cut indices.
-  [[nodiscard]] ExecutionPlan finalize(Strategy strategy,
-                                       const std::vector<std::size_t>& cuts) const;
-
   /// The uninstrumented planning body; plan() wraps it in an obs::Span.
   [[nodiscard]] ExecutionPlan plan_impl(Strategy strategy, int n_jobs) const;
 
   partition::ProfileCurve curve_;
-  PlannerOptions options_;
   partition::CutDecision decision_;
 };
 

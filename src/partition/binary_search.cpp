@@ -35,36 +35,35 @@ CutDecision finish(const ProfileCurve& curve, std::size_t l_star,
 
 }  // namespace
 
-CutDecision binary_search_cut(const ProfileCurve& curve) {
-  validate(curve);
+std::size_t l_star_search(std::span<const double> f, std::span<const double> g,
+                          int& probes) {
   std::size_t lo = 0;
-  std::size_t hi = curve.size() - 1;
-  int iterations = 0;
-  // Invariant: f(hi) >= g(hi); if lo > 0 then f(lo-1) < g(lo-1).
-  while (lo < hi) {
-    ++iterations;
+  std::size_t hi = f.size() - 1;
+  // Invariant: f[hi] >= g[hi]; if lo > 0 then f[lo-1] < g[lo-1].
+  for (probes = 0; lo < hi; ++probes) {
     const std::size_t mid = (lo + hi) / 2;
-    if (curve.f(mid) < curve.g(mid)) {
+    if (f[mid] < g[mid]) {
       lo = mid + 1;
     } else {
       hi = mid;
     }
   }
-  return finish(curve, lo, iterations);
+  return lo;
+}
+
+CutDecision binary_search_cut(const ProfileCurve& curve) {
+  validate(curve);
+  int probes = 0;
+  const auto l_star = l_star_search(curve.f_lane(), curve.g_lane(), probes);
+  return finish(curve, l_star, probes);
 }
 
 CutDecision linear_scan_cut(const ProfileCurve& curve) {
   validate(curve);
-  std::size_t l_star = curve.size() - 1;
-  int iterations = 0;
-  for (std::size_t i = 0; i < curve.size(); ++i) {
-    ++iterations;
-    if (curve.f(i) >= curve.g(i)) {
-      l_star = i;
-      break;
-    }
-  }
-  return finish(curve, l_star, iterations);
+  std::size_t l_star = 0;  // one probe per cut up to the first f >= g
+  while (l_star + 1 < curve.size() && curve.f(l_star) < curve.g(l_star))
+    ++l_star;
+  return finish(curve, l_star, static_cast<int>(l_star) + 1);
 }
 
 }  // namespace jps::partition

@@ -30,6 +30,11 @@ struct CutDecision {
   int iterations = 0;
 };
 
+/// Alg. 2's search on a monotone curve's non-empty f/g lanes: the left-most
+/// index with f >= g (the last if none); `probes` receives the probe count.
+[[nodiscard]] std::size_t l_star_search(std::span<const double> f,
+                                        std::span<const double> g, int& probes);
+
 /// Run Alg. 2 on a monotone curve.  Throws std::invalid_argument when the
 /// curve is not monotone (cluster it first) or empty.
 [[nodiscard]] CutDecision binary_search_cut(const ProfileCurve& curve);

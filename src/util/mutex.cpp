@@ -18,9 +18,27 @@ struct HeldFrame {
   const char* name;  // nullptr: excluded from the graph
 };
 
-std::vector<HeldFrame>& held_stack() {
-  thread_local std::vector<HeldFrame> stack;
-  return stack;
+// Set when this thread's held stack is destroyed.  A thread's thread_local
+// objects die before the process's statics, and a static's destructor may
+// still lock a Mutex on that thread (the shared ThreadPool's does, at exit),
+// so the hooks must stop touching the stack from then on.  A bool is
+// trivially destructible, so it stays readable until the thread is gone.
+thread_local bool t_held_stack_gone = false;
+
+struct HeldStack {
+  HeldStack() = default;
+  HeldStack(const HeldStack&) = delete;
+  HeldStack& operator=(const HeldStack&) = delete;
+  ~HeldStack() { t_held_stack_gone = true; }
+
+  std::vector<HeldFrame> frames;
+};
+
+// This thread's held stack, or nullptr once it has been destroyed.
+std::vector<HeldFrame>* held_stack() {
+  if (t_held_stack_gone) return nullptr;
+  thread_local HeldStack stack;
+  return &stack.frames;
 }
 
 // The checker's own state is guarded by a RAW std::mutex on purpose: an
@@ -137,7 +155,9 @@ std::uint64_t violations() {
 void on_acquire(const void* instance, const char* name) {
   const Mode mode = effective_mode();
   if (mode == Mode::kOff) return;
-  auto& held = held_stack();
+  std::vector<HeldFrame>* const stack = held_stack();
+  if (stack == nullptr) return;
+  auto& held = *stack;
 
   // Same-instance recursion deadlocks std::mutex outright (and recursive
   // lock_shared is UB); report before any graph work.
@@ -182,7 +202,9 @@ void on_acquire(const void* instance, const char* name) {
 
 void on_release(const void* instance) {
   if (effective_mode() == Mode::kOff) return;
-  auto& held = held_stack();
+  std::vector<HeldFrame>* const stack = held_stack();
+  if (stack == nullptr) return;
+  auto& held = *stack;
   for (auto it = held.rbegin(); it != held.rend(); ++it) {
     if (it->instance == instance) {
       held.erase(std::next(it).base());

@@ -12,6 +12,7 @@
 #include "net/channel.h"
 #include "profile/device.h"
 #include "profile/latency_model.h"
+#include "sched/bruteforce.h"
 #include "sched/johnson.h"
 #include "sched/makespan.h"
 #include "sim/event_sim.h"
@@ -191,9 +192,8 @@ TEST(Planner, SingleJobPlansWork) {
   }
 }
 
-// Reference evaluation of one split, replicating the pre-optimization
-// best_split_plan inner loop: n_a jobs at cut a, the rest at cut b, Johnson
-// order, sequential flow-shop recurrence.
+// Reference evaluation of one split: n_a jobs at cut a, the rest at cut b,
+// Johnson order, sequential flow-shop recurrence.
 double brute_split_makespan(const partition::ProfileCurve& curve,
                             std::size_t a, std::size_t b, int n_a, int n) {
   sched::JobList jobs;
@@ -311,9 +311,8 @@ TEST(Planner, TwoTypeMakespanBatchHandlesEmptyRuns) {
 }
 
 TEST(Planner, IncrementalSplitSweepMatchesBruteSweepOnRandomCurves) {
-  // The O(n) incremental sweep must pick exactly the split the former
-  // O(n^2 log n) per-split finalize() sweep picked, and produce an
-  // identical plan.
+  // The planner's split must be exactly the one a scan that assembles and
+  // evaluates every split picks, and the plan must carry its makespan.
   util::Rng rng(23);
   for (int round = 0; round < 30; ++round) {
     const partition::ProfileCurve curve =
@@ -424,16 +423,147 @@ TEST(Planner, PredictedMakespanMatchesEventSimulatorOnRealCurves) {
 }
 
 TEST(Planner, BruteForceFallsBackToTwoTypeAtScale) {
-  // n = 300 over a real curve exceeds the exact cap; the BF strategy must
+  // n = 300 over a real curve exceeds the planner's exact-enumeration cap
+  // of 2'000'000 multisets, so exact BF refuses it; the BF strategy must
   // silently fall back and still return a consistent plan.
-  PlannerOptions options;
-  options.bf_exact_cap = 1000;
-  const Planner planner(curve_for("alexnet", 5.85), options);
+  const partition::ProfileCurve curve = curve_for("alexnet", 5.85);
+  EXPECT_THROW(
+      (void)sched::bruteforce_exact(curve.as_cut_options(), 300, 2'000'000),
+      std::invalid_argument);
+  const Planner planner(curve);
   const ExecutionPlan plan = planner.plan(Strategy::kBruteForce, 300);
   EXPECT_EQ(plan.jobs.size(), 300u);
   const double tuned =
       planner.plan(Strategy::kJPSTuned, 300).predicted_makespan;
   EXPECT_LE(plan.predicted_makespan, tuned + 1e-6);
+}
+
+// Orientation of c against the directed edge a -> b in the (f, g) plane:
+// > 0 when c lies to the left of (above, for an edge going right) the edge.
+double orientation(const partition::ProfileCurve& curve, std::size_t a,
+                   std::size_t b, std::size_t c) {
+  return (curve.f(b) - curve.f(a)) * (curve.g(c) - curve.g(a)) -
+         (curve.g(b) - curve.g(a)) * (curve.f(c) - curve.f(a));
+}
+
+// Monotone curve with integer coordinates in [0, range]: a small range
+// forces duplicate f values, duplicate points and collinear runs, and every
+// orientation below is computed exactly.
+partition::ProfileCurve integer_curve(util::Rng& rng, int k, int range) {
+  std::vector<double> fs;
+  std::vector<double> gs;
+  for (int i = 0; i < k; ++i) {
+    fs.push_back(static_cast<double>(rng.uniform_int(0, range)));
+    gs.push_back(static_cast<double>(rng.uniform_int(0, range)));
+  }
+  std::sort(fs.begin(), fs.end());
+  std::sort(gs.begin(), gs.end(), std::greater<>());
+  std::vector<partition::CutPoint> cuts(static_cast<std::size_t>(k));
+  for (std::size_t i = 0; i < cuts.size(); ++i) {
+    cuts[i].f = fs[i];
+    cuts[i].g = gs[i];
+  }
+  return partition::ProfileCurve::from_candidates(
+      "hull", std::move(cuts), partition::CurveOptions{.cluster = false});
+}
+
+// Points on one line with equal steps: every interior cut is collinear.
+partition::ProfileCurve collinear_curve(int k, double df, double dg) {
+  std::vector<partition::CutPoint> cuts(static_cast<std::size_t>(k));
+  for (std::size_t i = 0; i < cuts.size(); ++i) {
+    cuts[i].f = df * static_cast<double>(i);
+    cuts[i].g = dg * static_cast<double>(cuts.size() - 1 - i);
+  }
+  return partition::ProfileCurve::from_candidates(
+      "line", std::move(cuts), partition::CurveOptions{.cluster = false});
+}
+
+// The lower hull by its defining geometry, not by construction: a chain from
+// the first cut to the last, ascending, turning strictly left at every
+// interior vertex, with no cut below it.  A convex chain is the maximum of
+// its edges' lines, so "on or above the polyline" is "on or left of every
+// edge".
+void expect_lower_hull(const partition::ProfileCurve& curve,
+                       const std::string& label) {
+  const std::vector<std::size_t> hull = Planner(curve).lower_hull_cuts();
+  ASSERT_FALSE(hull.empty()) << label;
+  EXPECT_EQ(hull.front(), 0u) << label;
+  EXPECT_EQ(hull.back(), curve.size() - 1) << label;
+  for (std::size_t j = 1; j < hull.size(); ++j)
+    EXPECT_LT(hull[j - 1], hull[j]) << label << " vertex " << j;
+  for (std::size_t j = 1; j + 1 < hull.size(); ++j) {
+    EXPECT_GT(orientation(curve, hull[j - 1], hull[j], hull[j + 1]), 0.0)
+        << label << " vertex " << j;
+  }
+  for (std::size_t j = 0; j + 1 < hull.size(); ++j) {
+    for (std::size_t i = 0; i < curve.size(); ++i) {
+      EXPECT_GE(orientation(curve, hull[j], hull[j + 1], i), 0.0)
+          << label << " cut " << i << " below edge " << j;
+    }
+  }
+}
+
+TEST(Planner, LowerHullCutsIsTheLowerHullOnRandomCurves) {
+  util::Rng rng(31);
+  for (int round = 0; round < 400; ++round) {
+    const int k = 1 + static_cast<int>(rng.uniform_int(0, 15));
+    const int range = round % 2 == 0 ? 4 : 1'000'000;
+    expect_lower_hull(integer_curve(rng, k, range),
+                      "round " + std::to_string(round));
+  }
+  for (int k = 1; k <= 6; ++k) {
+    expect_lower_hull(collinear_curve(k, 2.0, 3.0), "line k=" + std::to_string(k));
+    expect_lower_hull(collinear_curve(k, 0.0, 1.0), "f-ties k=" + std::to_string(k));
+    expect_lower_hull(collinear_curve(k, 1.0, 0.0), "g-ties k=" + std::to_string(k));
+  }
+  // A collinear run is collapsed to its ends: only two vertices remain.
+  EXPECT_EQ(Planner(collinear_curve(5, 2.0, 3.0)).lower_hull_cuts(),
+            (std::vector<std::size_t>{0, 4}));
+}
+
+TEST(Planner, PartitionOnlyTakesTheFirstLatencyMinimum) {
+  // Small integer coordinates make latency ties common; the PO cut is the
+  // lowest-index minimum of f + g, the one std::min_element finds.
+  util::Rng rng(37);
+  for (int round = 0; round < 200; ++round) {
+    const partition::ProfileCurve curve =
+        integer_curve(rng, 1 + static_cast<int>(rng.uniform_int(0, 9)), 4);
+    std::vector<double> latency;
+    for (std::size_t i = 0; i < curve.size(); ++i)
+      latency.push_back(curve.f(i) + curve.g(i));
+    const auto first = static_cast<std::size_t>(
+        std::min_element(latency.begin(), latency.end()) - latency.begin());
+    const Planner planner(curve);
+    EXPECT_EQ(planner.single_job_optimal_cut(), first) << "round " << round;
+    for (const JobAssignment& job :
+         planner.plan(Strategy::kPartitionOnly, 3).jobs)
+      EXPECT_EQ(job.cut_index, first) << "round " << round;
+  }
+}
+
+TEST(Planner, JpsRoundsTheTheoremBalance) {
+  // l* = 2, surplus s = f(2) - g(2) = 4, deficit d = g(1) - f(1) = 1: JPS
+  // puts n·s/(s+d) = 0.8·n jobs at l*-1, rounded to the nearest count.
+  const double fg[][2] = {{0.0, 4.0}, {1.0, 2.0}, {5.0, 1.0}, {9.0, 0.0}};
+  std::vector<partition::CutPoint> cuts;
+  for (const auto& p : fg) {
+    cuts.emplace_back();
+    cuts.back().f = p[0];
+    cuts.back().g = p[1];
+  }
+  const Planner planner(
+      partition::ProfileCurve::from_candidates("balance", std::move(cuts)));
+  ASSERT_EQ(planner.decision().l_star, 2u);
+  for (const auto& [n, at_l_minus] :
+       {std::pair{1, 1}, std::pair{2, 2}, std::pair{4, 3}, std::pair{7, 6}}) {
+    const ExecutionPlan plan = planner.plan(Strategy::kJPS, n);
+    EXPECT_EQ(std::count_if(plan.jobs.begin(), plan.jobs.end(),
+                            [](const JobAssignment& j) {
+                              return j.cut_index == 1;
+                            }),
+              at_l_minus)
+        << "n=" << n;
+  }
 }
 
 }  // namespace

@@ -209,6 +209,23 @@ TEST_F(LockOrderTest, ViolationsCounterIsMonotone) {
   EXPECT_EQ(lockorder::violations(), before + 1);
 }
 
+TEST_F(LockOrderTest, LocksInThreadExitDestructorsAreSkipped) {
+  // A thread_local constructed before the checker's held-lock stack is
+  // destroyed after it, and its destructor still locks a Mutex, as the
+  // shared ThreadPool's static destructor does on the main thread at exit.
+  // The hooks must leave the destroyed stack alone.
+  Mutex late("test.thread_exit");
+  std::thread([&late] {
+    struct LocksOnExit {
+      Mutex* m;
+      ~LocksOnExit() { MutexLock lock(*m); }
+    };
+    thread_local LocksOnExit on_exit{&late};
+    MutexLock lock(late);  // builds this thread's held-lock stack
+  }).join();
+  EXPECT_TRUE(reports_.empty());
+}
+
 TEST(MutexWrappers, MidScopeUnlockAndSharedReaders) {
   SharedMutex m("test.wrappers_shared");
   {
