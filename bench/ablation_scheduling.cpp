@@ -29,7 +29,7 @@ int main() {
     const core::ExecutionPlan plan = planner.plan(core::Strategy::kJPS, kJobs);
 
     // The same job multiset under different orders.
-    sched::JobList johnson_jobs = plan.scheduled_jobs;
+    const sched::JobList johnson_jobs = plan.job_list();
     const double johnson = sched::flowshop2_makespan(johnson_jobs);
 
     // FIFO arrival order: the two job types interleave (e.g. frames from
@@ -83,10 +83,10 @@ int main() {
         testbed.graph(), testbed.mobile(), channel, opt, &testbed.cloud());
     const core::Planner planner(curve);
     core::ExecutionPlan plan = planner.plan(core::Strategy::kJPS, kJobs);
-    sched::JobList with_cloud = plan.scheduled_jobs;
+    sched::JobList with_cloud = plan.job_list();
     for (auto& job : with_cloud)
       job.cloud = curve.cut(static_cast<std::size_t>(job.cut)).cloud;
-    const double two = sched::flowshop2_makespan(plan.scheduled_jobs);
+    const double two = sched::flowshop2_makespan(plan.f_lane, plan.g_lane);
     const double three = sched::flowshop3_makespan(with_cloud);
     cloud_table.add_row({model, util::format_fixed(two / 1e3, 3),
                          util::format_fixed(three / 1e3, 3),

@@ -35,11 +35,12 @@ int main() {
   // Deal the Johnson-ordered jobs to rounds ROUND-ROBIN, so every arrival
   // round carries a mix of the two cut types (each camera batch has both
   // shallow- and deep-cut frames), and the within-round order matters.
-  std::vector<sched::Job> dealt(plan.scheduled_jobs.size());
-  for (std::size_t k = 0; k < plan.scheduled_jobs.size(); ++k) {
+  const sched::JobList scheduled = plan.job_list();
+  std::vector<sched::Job> dealt(scheduled.size());
+  for (std::size_t k = 0; k < scheduled.size(); ++k) {
     const std::size_t round = k % kRounds;
     const std::size_t slot = k / kRounds;
-    dealt[round * kCameras + slot] = plan.scheduled_jobs[k];
+    dealt[round * kCameras + slot] = scheduled[k];
   }
   for (const double period :
        {0.0, 200.0, 500.0, 700.0, 900.0, 1200.0}) {
@@ -84,7 +85,7 @@ int main() {
     sim::EventSimulator timeline;
     const sim::ResourceId cpu = timeline.add_resource("mobile_cpu");
     const sim::ResourceId link = timeline.add_resource("uplink");
-    for (const sched::Job& job : plan.scheduled_jobs) {
+    for (const sched::Job& job : scheduled) {
       const std::string tag = "j" + std::to_string(job.id);
       const sim::TaskId comp =
           timeline.add_task(cpu, job.f, {}, tag + ":comp");

@@ -4,7 +4,8 @@
 //
 // Contract for both: return a value or throw std::runtime_error — never
 // crash, never accept-and-corrupt.  Accepted input must round-trip:
-// serialize(deserialize(text)) is a fixed point under re-parsing.
+// serialize(deserialize(text)) is a fixed point under re-parsing, and an
+// accepted plan carries one f and one g lane entry per job.
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -18,6 +19,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
   try {
     const jps::core::ExecutionPlan plan = jps::core::deserialize_plan(text);
+    if (plan.f_lane.size() != plan.jobs.size() ||
+        plan.g_lane.size() != plan.jobs.size())
+      __builtin_trap();
     const std::string once = jps::core::serialize_plan(plan);
     const std::string twice =
         jps::core::serialize_plan(jps::core::deserialize_plan(once));

@@ -38,30 +38,18 @@ std::optional<core::Strategy> strategy_from_name(const std::string& name) {
   return std::nullopt;
 }
 
-// P007: the two per-job arrays must tell the same story before any rule can
-// reason about "the job at position i".
+// P007: every job needs its stage lengths before any rule can reason about
+// "the job at position i".
 bool lint_consistency(const core::ExecutionPlan& plan, DiagnosticList& out) {
-  if (plan.jobs.size() != plan.scheduled_jobs.size()) {
-    out.error("P007", {},
-              "jobs[] has " + std::to_string(plan.jobs.size()) +
-                  " entries but scheduled_jobs[] has " +
-                  std::to_string(plan.scheduled_jobs.size()));
-    return false;
-  }
-  bool ok = true;
-  for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
-    const bool id_match = plan.jobs[i].job_id == plan.scheduled_jobs[i].id;
-    const bool cut_match =
-        plan.scheduled_jobs[i].cut < 0 ||
-        static_cast<std::size_t>(plan.scheduled_jobs[i].cut) ==
-            plan.jobs[i].cut_index;
-    if (!id_match || !cut_match) {
-      out.error("P007", job_loc(i),
-                "jobs[] and scheduled_jobs[] disagree on job id or cut");
-      ok = false;
-    }
-  }
-  return ok;
+  if (plan.f_lane.size() == plan.jobs.size() &&
+      plan.g_lane.size() == plan.jobs.size())
+    return true;
+  out.error("P007", {},
+            "jobs[] has " + std::to_string(plan.jobs.size()) +
+                " entries but f_lane has " +
+                std::to_string(plan.f_lane.size()) + " and g_lane has " +
+                std::to_string(plan.g_lane.size()));
+  return false;
 }
 
 void lint_against_curve(const core::ExecutionPlan& plan,
@@ -70,15 +58,16 @@ void lint_against_curve(const core::ExecutionPlan& plan,
   for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
     const std::size_t cut = plan.jobs[i].cut_index;
     if (cut >= curve.size()) continue;  // P001 already reported
-    const sched::Job& job = plan.scheduled_jobs[i];
-    if (!close(job.f, curve.f(cut), tolerance))
+    const double f = plan.f_lane[i];
+    const double g = plan.g_lane[i];
+    if (!close(f, curve.f(cut), tolerance))
       out.error("X002", job_loc(i),
-                "f = " + std::to_string(job.f) + " ms but the curve has f = " +
+                "f = " + std::to_string(f) + " ms but the curve has f = " +
                     std::to_string(curve.f(cut)) + " ms at cut " +
                     std::to_string(cut));
-    if (!close(job.g, curve.g(cut), tolerance))
+    if (!close(g, curve.g(cut), tolerance))
       out.warning("X003", job_loc(i),
-                  "g = " + std::to_string(job.g) +
+                  "g = " + std::to_string(g) +
                       " ms but the curve has g = " +
                       std::to_string(curve.g(cut)) + " ms at cut " +
                       std::to_string(cut) +
@@ -97,14 +86,14 @@ void lint_plan(const core::ExecutionPlan& plan, DiagnosticList& out,
   if (!lint_consistency(plan, out)) return;
 
   bool latencies_ok = true;
-  for (std::size_t i = 0; i < plan.scheduled_jobs.size(); ++i) {
-    const sched::Job& job = plan.scheduled_jobs[i];
+  for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
+    const double f = plan.f_lane[i];
+    const double g = plan.g_lane[i];
     const auto bad = [](double v) { return !std::isfinite(v) || v < 0.0; };
-    if (bad(job.f) || bad(job.g) || bad(job.cloud)) {
+    if (bad(f) || bad(g)) {
       out.error("P002", job_loc(i),
                 "stage latencies must be finite and non-negative (f=" +
-                    std::to_string(job.f) + ", g=" + std::to_string(job.g) +
-                    ", cloud=" + std::to_string(job.cloud) + ")");
+                    std::to_string(f) + ", g=" + std::to_string(g) + ")");
       latencies_ok = false;
     }
   }
@@ -138,7 +127,8 @@ void lint_plan(const core::ExecutionPlan& plan, DiagnosticList& out,
 
   // P005: the recorded makespan must reproduce the closed-form flow-shop
   // identity of the recorded order (the §4 endpoint identity).
-  const double identity = sched::closed_form_makespan(plan.scheduled_jobs);
+  const double identity =
+      sched::closed_form_makespan(plan.f_lane, plan.g_lane);
   if (!close(plan.predicted_makespan, identity, context.tolerance))
     out.error("P005", {},
               "recorded makespan " + std::to_string(plan.predicted_makespan) +
@@ -148,11 +138,10 @@ void lint_plan(const core::ExecutionPlan& plan, DiagnosticList& out,
   // P004/P008: the offloaded set must be in Johnson order.  Makespan is the
   // ground truth (Johnson minimizes it); pure tie permutations and S1-split
   // label drift that leave the makespan unchanged only warn.
-  const sched::JohnsonSchedule canonical =
-      sched::johnson_order(plan.scheduled_jobs);
-  const sched::JobList reordered =
-      sched::apply_order(plan.scheduled_jobs, canonical.order);
-  const double best = sched::closed_form_makespan(reordered);
+  const sched::JobList scheduled = plan.job_list();
+  const sched::JohnsonSchedule canonical = sched::johnson_order(scheduled);
+  const double best = sched::closed_form_makespan(
+      sched::apply_order(scheduled, canonical.order));
   if (identity > best &&
       !close(identity, best, context.tolerance)) {
     out.error("P004", {},
@@ -252,17 +241,16 @@ std::optional<core::ExecutionPlan> parse_plan_text(const std::string& text,
         require_done();
     } else if (key == "job") {
       core::JobAssignment assignment;
-      sched::Job job;
-      if (!(fields >> assignment.job_id >> assignment.cut_index >> job.f >>
-            job.g)) {
+      double f = 0.0;
+      double g = 0.0;
+      if (!(fields >> assignment.job_id >> assignment.cut_index >> f >> g)) {
         out.error("P011", line_loc(line_no),
                   "bad job entry; expected 'job <id> <cut> <f_ms> <g_ms>'");
       } else {
         require_done();
-        job.id = assignment.job_id;
-        job.cut = static_cast<int>(assignment.cut_index);
         plan.jobs.push_back(assignment);
-        plan.scheduled_jobs.push_back(job);
+        plan.f_lane.push_back(f);
+        plan.g_lane.push_back(g);
       }
     } else {
       out.error("P013", line_loc(line_no), "unknown key '" + key + "'");
@@ -273,7 +261,6 @@ std::optional<core::ExecutionPlan> parse_plan_text(const std::string& text,
   if (!have_strategy)
     out.error("P015", {}, "plan is missing its 'strategy' entry");
   if (plan.jobs.empty()) out.error("P015", {}, "plan schedules no jobs");
-  plan.refresh_lanes();  // parsed plans honor the SoA-lane invariant too
   return plan;
 }
 

@@ -11,7 +11,7 @@
 //   P005  recorded makespan does not reproduce the closed-form flow-shop
 //         identity of the recorded order
 //   P006  duplicate job ids
-//   P007  jobs[] and scheduled_jobs[] disagree (size or per-job id/cut)
+//   P007  jobs[], f_lane and g_lane disagree in size
 //   P008  (warning) order or S1 split deviates from the canonical Johnson
 //         tie-break without changing the makespan
 //

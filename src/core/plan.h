@@ -1,6 +1,7 @@
 // Execution plans: the output of every planning strategy.
 #pragma once
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -40,18 +41,19 @@ struct JobAssignment {
 };
 
 /// A complete partition + schedule for n identical jobs.
+///
+/// Each job is stored once: its identity and cut in `jobs`, its stage
+/// lengths in the f/g lanes at the same position — 32 bytes per job.
 struct ExecutionPlan {
   std::string model;
   Strategy strategy = Strategy::kJPS;
   /// Jobs in scheduled (processing) order.
   std::vector<JobAssignment> jobs;
-  /// Stage lengths of each scheduled job (same order as `jobs`).
-  sched::JobList scheduled_jobs;
-  /// SoA mirrors of scheduled_jobs[i].f / .g: the contiguous lanes the
+  /// Stage lengths of jobs[i]: f_lane[i] is its computation on the mobile
+  /// device, g_lane[i] its offload, ms.  The contiguous lanes are what the
   /// branch-light makespan kernels iterate (sched::flowshop2_makespan /
-  /// closed_form_makespan span overloads).  Kept in sync by refresh_lanes();
-  /// assemble_plan and the plan parser maintain them, so they are valid on
-  /// every plan those paths produce.
+  /// closed_form_makespan span overloads).  Same length as `jobs` on every
+  /// plan assemble_plan and the plan parser produce (lint rule P007).
   std::vector<double> f_lane;
   std::vector<double> g_lane;
   /// Number of leading communication-heavy jobs in the order (Johnson S1).
@@ -61,19 +63,25 @@ struct ExecutionPlan {
   /// Wall-clock time the planner itself took (Fig. 12(d) overhead), ms.
   double decision_overhead_ms = 0.0;
 
-  /// Rebuild f_lane/g_lane from scheduled_jobs (call after mutating it).
-  void refresh_lanes() {
-    f_lane.resize(scheduled_jobs.size());
-    g_lane.resize(scheduled_jobs.size());
-    for (std::size_t i = 0; i < scheduled_jobs.size(); ++i) {
-      f_lane[i] = scheduled_jobs[i].f;
-      g_lane[i] = scheduled_jobs[i].g;
+  /// The scheduled jobs as sched::Job values (id, cut, f, g), built on
+  /// demand in O(n) for the scheduling and simulation APIs that take them.
+  /// Throws std::logic_error when the lanes and `jobs` disagree in length.
+  [[nodiscard]] sched::JobList job_list() const {
+    if (f_lane.size() != jobs.size() || g_lane.size() != jobs.size())
+      throw std::logic_error("ExecutionPlan: jobs and f/g lanes disagree");
+    sched::JobList list(jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      list[i] = sched::Job{.id = jobs[i].job_id,
+                           .cut = static_cast<int>(jobs[i].cut_index),
+                           .f = f_lane[i],
+                           .g = g_lane[i]};
     }
+    return list;
   }
 
-  /// Per-job stage timelines (computed from scheduled_jobs on demand).
+  /// Per-job stage timelines (computed from job_list() on demand).
   [[nodiscard]] std::vector<sched::JobTimeline> timeline() const {
-    return sched::flowshop2_timeline(scheduled_jobs);
+    return sched::flowshop2_timeline(job_list());
   }
 
   /// Average completion per job, ms.

@@ -20,9 +20,12 @@ std::string serialize_plan(const ExecutionPlan& plan) {
   os << "strategy " << strategy_name(plan.strategy) << '\n';
   os << "comm_heavy " << plan.comm_heavy_count << '\n';
   os << "makespan_ms " << plan.predicted_makespan << '\n';
+  JPS_REQUIRE(plan.f_lane.size() == plan.jobs.size() &&
+                  plan.g_lane.size() == plan.jobs.size(),
+              "every job needs its f and g lane entries");
   for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
     os << "job " << plan.jobs[i].job_id << ' ' << plan.jobs[i].cut_index << ' '
-       << plan.scheduled_jobs[i].f << ' ' << plan.scheduled_jobs[i].g << '\n';
+       << plan.f_lane[i] << ' ' << plan.g_lane[i] << '\n';
   }
   return os.str();
 }

@@ -52,34 +52,78 @@ const char* strategy_name(Strategy s) {
   return "?";
 }
 
-ExecutionPlan assemble_plan(const partition::ProfileCurve& curve,
-                            Strategy strategy,
-                            const std::vector<std::size_t>& cuts) {
-  sched::JobList jobs;
-  jobs.reserve(cuts.size());
-  for (std::size_t i = 0; i < cuts.size(); ++i) {
-    jobs.push_back(sched::Job{.id = static_cast<int>(i),
-                              .cut = static_cast<int>(cuts[i]),
-                              .f = curve.f(cuts[i]),
-                              .g = curve.g(cuts[i])});
+namespace {
+
+/// `count` consecutive jobs at `cut`.
+struct CutRun {
+  std::size_t cut = 0;
+  std::size_t count = 0;
+};
+
+// The one assembly.  Jobs are numbered 0, 1, ... run by run.  The jobs of a
+// run are identical and numbered consecutively, so Johnson's rule over the
+// runs (ties broken by run, hence by job id) laid out job by job is exactly
+// Johnson's rule over the jobs: the jobs and both lanes are written once,
+// in their final order, straight from the curve's lanes.  A two-type mix
+// is two runs, already in Johnson order on a monotone curve.
+ExecutionPlan assemble_runs(const partition::ProfileCurve& curve,
+                            Strategy strategy, std::span<const CutRun> runs) {
+  std::vector<CutRun> kept;  // the non-empty runs
+  std::vector<std::size_t> first_id;
+  std::vector<double> run_f;
+  std::vector<double> run_g;
+  std::size_t n_jobs = 0;
+  for (const CutRun& run : runs) {
+    if (run.count == 0) continue;
+    kept.push_back(run);
+    first_id.push_back(n_jobs);
+    run_f.push_back(curve.f(run.cut));
+    run_g.push_back(curve.g(run.cut));
+    n_jobs += run.count;
   }
-  const sched::JohnsonSchedule schedule = sched::johnson_order(jobs);
+  const sched::JohnsonSchedule schedule = sched::johnson_order(run_f, run_g);
 
   ExecutionPlan plan;
   plan.model = curve.model_name();
   plan.strategy = strategy;
-  plan.comm_heavy_count = schedule.comm_heavy_count;
-  plan.scheduled_jobs = sched::apply_order(jobs, schedule.order);
-  plan.jobs.reserve(jobs.size());
-  for (const sched::Job& job : plan.scheduled_jobs) {
-    plan.jobs.push_back({job.id, static_cast<std::size_t>(job.cut)});
+  plan.jobs.reserve(n_jobs);
+  plan.f_lane.reserve(n_jobs);
+  plan.g_lane.reserve(n_jobs);
+  for (std::size_t k = 0; k < schedule.order.size(); ++k) {
+    const std::size_t r = schedule.order[k];
+    for (std::size_t j = 0; j < kept[r].count; ++j)
+      plan.jobs.push_back({static_cast<int>(first_id[r] + j), kept[r].cut});
+    plan.f_lane.insert(plan.f_lane.end(), kept[r].count, run_f[r]);
+    plan.g_lane.insert(plan.g_lane.end(), kept[r].count, run_g[r]);
+    if (k < schedule.comm_heavy_count) plan.comm_heavy_count += kept[r].count;
   }
-  plan.refresh_lanes();
-  // The lane overload is bit-identical to the Job-span recurrence; it just
-  // streams two contiguous doubles per job instead of a 5-field struct.
   plan.predicted_makespan =
       sched::flowshop2_makespan(plan.f_lane, plan.g_lane);
   return plan;
+}
+
+}  // namespace
+
+ExecutionPlan assemble_plan(const partition::ProfileCurve& curve,
+                            Strategy strategy,
+                            std::span<const std::size_t> cuts) {
+  std::vector<CutRun> runs;
+  for (const std::size_t cut : cuts) {
+    if (runs.empty() || runs.back().cut != cut)
+      runs.push_back({cut, 0});
+    ++runs.back().count;
+  }
+  return assemble_runs(curve, strategy, runs);
+}
+
+ExecutionPlan assemble_plan(const partition::ProfileCurve& curve,
+                            Strategy strategy, std::size_t cut_a,
+                            std::size_t cut_b, int n_a, int n_jobs) {
+  if (n_jobs < 0 || n_a < 0 || n_a > n_jobs)
+    throw std::invalid_argument("assemble_plan: need 0 <= n_a <= n_jobs");
+  const CutRun runs[] = {{cut_a, static_cast<std::size_t>(n_a)},
+                         {cut_b, static_cast<std::size_t>(n_jobs - n_a)}};
+  return assemble_runs(curve, strategy, runs);
 }
 
 double two_type_makespan(double f_a, double g_a, double f_b, double g_b,
@@ -362,16 +406,6 @@ Decision lane_decide(Strategy strategy, int n_jobs, std::span<const double> f,
   return d;
 }
 
-// Per-job cuts of a decision, already in Johnson order: on a monotone curve
-// cut_a precedes cut_b (f(a) <= f(b), g(a) >= g(b)), so "all a-jobs before
-// all b-jobs" wins S1's ascending-f and S2's descending-g tie-breaks alike,
-// and assemble_plan's order check costs O(n).
-std::vector<std::size_t> mix_cuts(const Decision& d, int n_jobs) {
-  std::vector<std::size_t> cuts(static_cast<std::size_t>(n_jobs), d.cut_b);
-  std::fill_n(cuts.begin(), d.n_a, d.cut_a);
-  return cuts;
-}
-
 }  // namespace
 
 Planner::Planner(partition::ProfileCurve curve) : curve_(std::move(curve)) {
@@ -409,7 +443,7 @@ ExecutionPlan Planner::plan(Strategy strategy, int n_jobs) const {
 
 ExecutionPlan Planner::plan_impl(Strategy strategy, int n_jobs) const {
   const auto start = Clock::now();
-  std::vector<std::size_t> cuts;
+  ExecutionPlan plan;
   if (strategy == Strategy::kBruteForce) {
     const std::vector<sched::CutOption> options = curve_.as_cut_options();
     sched::BruteForceResult result;
@@ -418,18 +452,18 @@ ExecutionPlan Planner::plan_impl(Strategy strategy, int n_jobs) const {
     } catch (const std::invalid_argument&) {
       result = sched::bruteforce_two_type(options, n_jobs);
     }
-    cuts.assign(result.cuts.begin(), result.cuts.end());
+    const std::vector<std::size_t> cuts(result.cuts.begin(), result.cuts.end());
+    plan = assemble_plan(curve_, strategy, cuts);
   } else if (strategy == Strategy::kRobust) {
     throw std::invalid_argument(
         "Planner::plan: robust plans need a bandwidth interval; use "
         "core::RobustPlanner");
   } else {
     std::vector<std::size_t> hull_scratch;
-    cuts = mix_cuts(lane_decide(strategy, n_jobs, curve_.f_lane(),
-                                curve_.g_lane(), hull_scratch),
-                    n_jobs);
+    const Decision d = lane_decide(strategy, n_jobs, curve_.f_lane(),
+                                   curve_.g_lane(), hull_scratch);
+    plan = assemble_plan(curve_, strategy, d.cut_a, d.cut_b, d.n_a, n_jobs);
   }
-  ExecutionPlan plan = assemble_plan(curve_, strategy, cuts);
   plan.decision_overhead_ms = ms_since(start);
   return plan;
 }
@@ -493,8 +527,9 @@ PlanSweep Planner::plan_sweep(Strategy strategy, int n_jobs,
     sweep.cut_a[p] = d.cut_a;
     sweep.cut_b[p] = d.cut_b;
     sweep.n_a[p] = d.n_a;
-    // The Johnson order of any such mix is "all a-jobs before all b-jobs"
-    // (see mix_cuts), so the exact recurrence over the two runs reproduces
+    // On a monotone curve cut_a precedes cut_b (f(a) <= f(b),
+    // g(a) >= g(b)), so "all a-jobs before all b-jobs" is the Johnson
+    // order of the mix and the exact recurrence over the two runs reproduces
     // assemble_plan's flowshop2_makespan bit-for-bit.
     sweep.makespan_ms[p] = sched::two_type_flowshop2_makespan(
         f[d.cut_a], g[d.cut_a], d.n_a, f[d.cut_b], g[d.cut_b],
@@ -509,9 +544,9 @@ ExecutionPlan Planner::materialize(const PlanSweep& sweep, std::size_t k,
     throw std::out_of_range("Planner::materialize: point out of range");
   const partition::ProfileCurve rebased =
       curve_.with_bandwidth(channel, sweep.bandwidth_mbps[k]);
-  ExecutionPlan plan = assemble_plan(
-      rebased, sweep.strategy,
-      mix_cuts({sweep.cut_a[k], sweep.cut_b[k], sweep.n_a[k]}, sweep.n_jobs));
+  ExecutionPlan plan =
+      assemble_plan(rebased, sweep.strategy, sweep.cut_a[k], sweep.cut_b[k],
+                    sweep.n_a[k], sweep.n_jobs);
   JPS_ENSURE(plan.predicted_makespan == sweep.makespan_ms[k],
              "materialized plan must reproduce the sweep makespan "
              "bit-for-bit");

@@ -94,11 +94,25 @@ void two_type_makespan_batch(double f_a, std::span<const double> g_a,
                                       double g_b, int n_jobs);
 
 /// Assemble, Johnson-order and evaluate a plan from per-job cut indices
-/// into `curve`.  Shared by Planner::plan, Planner::materialize, the robust
-/// planner and the fault-aware replanning hook.
+/// into `curve` (job i has id i).  Consecutive equal cuts form a run; the
+/// runs are put in Johnson order and their jobs and f/g lanes written once,
+/// in that order, from the curve's lanes: O(n) plus O(r log r) for r runs,
+/// allocating the plan's 32 bytes per job and O(r) scratch.
+/// predicted_makespan is the O(n) flowshop2_makespan of the lanes.  Throws
+/// std::out_of_range for a cut beyond the curve and std::invalid_argument
+/// for a negative stage length.
 [[nodiscard]] ExecutionPlan assemble_plan(const partition::ProfileCurve& curve,
                                           Strategy strategy,
-                                          const std::vector<std::size_t>& cuts);
+                                          std::span<const std::size_t> cuts);
+
+/// assemble_plan for the two-run mix "n_a jobs at cut_a, then
+/// n_jobs - n_a at cut_b" — the same plan as assemble_plan over those
+/// per-job cuts, without building them: one O(n) fill plus the
+/// recurrence.  Throws std::invalid_argument unless 0 <= n_a <= n_jobs.
+[[nodiscard]] ExecutionPlan assemble_plan(const partition::ProfileCurve& curve,
+                                          Strategy strategy, std::size_t cut_a,
+                                          std::size_t cut_b, int n_a,
+                                          int n_jobs);
 
 /// The PO rule: the first argmin over cuts of single-job latency f[i] + g[i]
 /// (0 for empty lanes).  Shared by the planner and plan_hetero.
@@ -159,8 +173,9 @@ class Planner {
 
   /// Expand lane `k` of a sweep into the full ExecutionPlan that plan()
   /// produces at that bandwidth (same cuts, same Johnson order,
-  /// bit-identical makespan).  Costs one curve rebase + assemble_plan; use
-  /// it for the points you actually execute, not for the whole sweep.
+  /// bit-identical makespan).  Costs one curve rebase + the two-run
+  /// assemble_plan (O(n_jobs), 32 bytes per job); use it for the points
+  /// you actually execute, not for the whole sweep.
   [[nodiscard]] ExecutionPlan materialize(const PlanSweep& sweep,
                                           std::size_t k,
                                           const net::Channel& channel) const;

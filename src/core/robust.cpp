@@ -142,11 +142,8 @@ RobustDecision RobustPlanner::decide(int n_jobs) const {
 
 ExecutionPlan RobustPlanner::plan(int n_jobs) const {
   const RobustDecision decision = decide(n_jobs);
-  std::vector<std::size_t> cuts(static_cast<std::size_t>(n_jobs),
-                                decision.cut_b);
-  for (int i = 0; i < decision.n_a; ++i)
-    cuts[static_cast<std::size_t>(i)] = decision.cut_a;
-  return assemble_plan(curve_, Strategy::kRobust, cuts);
+  return assemble_plan(curve_, Strategy::kRobust, decision.cut_a,
+                       decision.cut_b, decision.n_a, n_jobs);
 }
 
 std::vector<double> plan_makespans_over_interval(
@@ -156,13 +153,11 @@ std::vector<double> plan_makespans_over_interval(
     throw std::invalid_argument("plan_makespans_over_interval: samples < 1");
   if (interval.lo_mbps <= 0.0 || interval.hi_mbps < interval.lo_mbps)
     throw std::invalid_argument("plan_makespans_over_interval: bad interval");
-  // Hoist the fixed f lane once; per sample only the g lane is rewritten —
+  // The plan's f lane is fixed; per sample only the g lane is rewritten —
   // no JobList copy, and the lane closed_form_makespan streams two
   // contiguous arrays.
-  std::vector<double> f(plan.scheduled_jobs.size());
-  for (std::size_t i = 0; i < plan.scheduled_jobs.size(); ++i)
-    f[i] = plan.scheduled_jobs[i].f;
-  std::vector<double> g_jobs(plan.scheduled_jobs.size());
+  const std::span<const double> f = plan.f_lane;
+  std::vector<double> g_jobs(plan.jobs.size());
   std::vector<double> out;
   out.reserve(static_cast<std::size_t>(samples));
   for (const double mbps : grid_points(interval, samples)) {

@@ -24,7 +24,15 @@ struct JohnsonSchedule {
 /// the makespan of the 2-stage pipeline (computation then communication) —
 /// the classical optimality of Johnson's rule [Johnson 1954].
 /// Ties are broken by job index, making the result deterministic.
+/// Throws std::invalid_argument for a negative stage length.
 [[nodiscard]] JohnsonSchedule johnson_order(std::span<const Job> jobs);
+
+/// johnson_order over structure-of-arrays lanes: job i has stages
+/// (f[i], g[i]).  Returns the same schedule as the Job-span overload on the
+/// same jobs.  Throws std::invalid_argument when the lanes disagree in
+/// length.
+[[nodiscard]] JohnsonSchedule johnson_order(std::span<const double> f,
+                                            std::span<const double> g);
 
 /// Convenience: reorder a copy of `jobs` into Johnson order.
 [[nodiscard]] JobList apply_order(std::span<const Job> jobs,

@@ -281,42 +281,74 @@ void append_indent(std::string& out, int indent, int depth) {
 
 Json Json::parse(const std::string& text) { return Parser(text).run(); }
 
+Json::Json(const Json& other) {
+  switch (other.type()) {
+    case Type::kNull: break;
+    case Type::kBool: value_ = std::get<bool>(other.value_); break;
+    case Type::kNumber: value_ = std::get<double>(other.value_); break;
+    case Type::kString:
+      value_ = std::make_unique<std::string>(other.as_string());
+      break;
+    case Type::kArray:
+      value_ = std::make_unique<std::vector<Json>>(other.elements());
+      break;
+    case Type::kObject:
+      value_ = std::make_unique<Members>(other.fields());
+      break;
+  }
+}
+
+Json& Json::operator=(const Json& other) {
+  if (this != &other) *this = Json(other);
+  return *this;
+}
+
 void Json::require(Type type, const char* what) const {
-  if (type_ != type)
+  if (this->type() != type)
     throw std::runtime_error(std::string("Json: not a ") + what);
+}
+
+const std::vector<Json>& Json::elements() const {
+  return *std::get<std::unique_ptr<std::vector<Json>>>(value_);
+}
+
+const Json::Members& Json::fields() const {
+  return *std::get<std::unique_ptr<Members>>(value_);
 }
 
 bool Json::as_bool() const {
   require(Type::kBool, "bool");
-  return bool_;
+  return std::get<bool>(value_);
 }
 
 double Json::as_double() const {
   require(Type::kNumber, "number");
-  return number_;
+  return std::get<double>(value_);
 }
 
 const std::string& Json::as_string() const {
   require(Type::kString, "string");
-  return string_;
+  return *std::get<std::unique_ptr<std::string>>(value_);
 }
 
 std::size_t Json::size() const {
-  if (type_ == Type::kObject) return object_.size();
+  if (type() == Type::kObject) return fields().size();
   require(Type::kArray, "array");
-  return array_.size();
+  return elements().size();
 }
 
 const Json& Json::at(std::size_t index) const {
   require(Type::kArray, "array");
-  if (index >= array_.size()) throw std::out_of_range("Json: array index");
-  return array_[index];
+  if (index >= elements().size())
+    throw std::out_of_range("Json: array index");
+  return elements()[index];
 }
 
 void Json::push_back(Json value) {
-  if (type_ == Type::kNull) type_ = Type::kArray;
+  if (type() == Type::kNull) *this = array();
   require(Type::kArray, "array");
-  array_.push_back(std::move(value));
+  std::get<std::unique_ptr<std::vector<Json>>>(value_)->push_back(
+      std::move(value));
 }
 
 bool Json::contains(const std::string& key) const {
@@ -324,8 +356,8 @@ bool Json::contains(const std::string& key) const {
 }
 
 const Json* Json::get(const std::string& key) const {
-  if (type_ != Type::kObject) return nullptr;
-  for (const auto& [k, v] : object_) {
+  if (type() != Type::kObject) return nullptr;
+  for (const auto& [k, v] : fields()) {
     if (k == key) return &v;
   }
   return nullptr;
@@ -339,20 +371,21 @@ const Json& Json::at(const std::string& key) const {
 }
 
 void Json::set(const std::string& key, Json value) {
-  if (type_ == Type::kNull) type_ = Type::kObject;
+  if (type() == Type::kNull) *this = object();
   require(Type::kObject, "object");
-  for (auto& [k, v] : object_) {
+  Members& members = *std::get<std::unique_ptr<Members>>(value_);
+  for (auto& [k, v] : members) {
     if (k == key) {
       v = std::move(value);
       return;
     }
   }
-  object_.emplace_back(key, std::move(value));
+  members.emplace_back(key, std::move(value));
 }
 
 const std::vector<std::pair<std::string, Json>>& Json::members() const {
   require(Type::kObject, "object");
-  return object_;
+  return fields();
 }
 
 std::string Json::dump(int indent) const {
@@ -363,39 +396,41 @@ std::string Json::dump(int indent) const {
 }
 
 void Json::dump_to(std::string& out, int indent, int depth) const {
-  switch (type_) {
+  switch (type()) {
     case Type::kNull: out += "null"; return;
-    case Type::kBool: out += bool_ ? "true" : "false"; return;
-    case Type::kNumber: append_number(out, number_); return;
-    case Type::kString: append_escaped(out, string_); return;
+    case Type::kBool: out += as_bool() ? "true" : "false"; return;
+    case Type::kNumber: append_number(out, as_double()); return;
+    case Type::kString: append_escaped(out, as_string()); return;
     case Type::kArray: {
-      if (array_.empty()) {
+      const std::vector<Json>& items = elements();
+      if (items.empty()) {
         out += "[]";
         return;
       }
       out.push_back('[');
-      for (std::size_t i = 0; i < array_.size(); ++i) {
+      for (std::size_t i = 0; i < items.size(); ++i) {
         if (i > 0) out.push_back(',');
         if (indent > 0) append_indent(out, indent, depth + 1);
-        array_[i].dump_to(out, indent, depth + 1);
+        items[i].dump_to(out, indent, depth + 1);
       }
       if (indent > 0) append_indent(out, indent, depth);
       out.push_back(']');
       return;
     }
     case Type::kObject: {
-      if (object_.empty()) {
+      const Members& members = fields();
+      if (members.empty()) {
         out += "{}";
         return;
       }
       out.push_back('{');
-      for (std::size_t i = 0; i < object_.size(); ++i) {
+      for (std::size_t i = 0; i < members.size(); ++i) {
         if (i > 0) out.push_back(',');
         if (indent > 0) append_indent(out, indent, depth + 1);
-        append_escaped(out, object_[i].first);
+        append_escaped(out, members[i].first);
         out.push_back(':');
         if (indent > 0) out.push_back(' ');
-        object_[i].second.dump_to(out, indent, depth + 1);
+        members[i].second.dump_to(out, indent, depth + 1);
       }
       if (indent > 0) append_indent(out, indent, depth);
       out.push_back('}');

@@ -11,9 +11,11 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace jps::util {
@@ -40,21 +42,31 @@ class Json {
   static constexpr std::size_t kMaxDepth = 64;
 
   Json() = default;  // null
-  Json(bool value) : type_(Type::kBool), bool_(value) {}  // NOLINT(runtime/explicit)
-  Json(double value) : type_(Type::kNumber), number_(value) {}  // NOLINT
-  Json(int value) : Json(static_cast<double>(value)) {}         // NOLINT
-  Json(const char* value) : type_(Type::kString), string_(value) {}  // NOLINT
-  Json(std::string value)                                            // NOLINT
-      : type_(Type::kString), string_(std::move(value)) {}
+  Json(bool value) : value_(value) {}                   // NOLINT(runtime/explicit)
+  Json(double value) : value_(value) {}                 // NOLINT
+  Json(int value) : Json(static_cast<double>(value)) {}  // NOLINT
+  Json(const char* value) : Json(std::string(value)) {}  // NOLINT
+  Json(std::string value)                                // NOLINT
+      : value_(std::make_unique<std::string>(std::move(value))) {}
+
+  Json(const Json& other);
+  Json& operator=(const Json& other);
+  /// A moved-from value is null.
+  Json(Json&& other) noexcept : value_(std::exchange(other.value_, {})) {}
+  Json& operator=(Json&& other) noexcept {
+    value_ = std::exchange(other.value_, {});
+    return *this;
+  }
+  ~Json() = default;
 
   [[nodiscard]] static Json array() {
     Json j;
-    j.type_ = Type::kArray;
+    j.value_ = std::make_unique<std::vector<Json>>();
     return j;
   }
   [[nodiscard]] static Json object() {
     Json j;
-    j.type_ = Type::kObject;
+    j.value_ = std::make_unique<Members>();
     return j;
   }
 
@@ -62,13 +74,13 @@ class Json {
   /// non-whitespace throws).  Throws JsonParseError on malformed input.
   [[nodiscard]] static Json parse(const std::string& text);
 
-  [[nodiscard]] Type type() const { return type_; }
-  [[nodiscard]] bool is_null() const { return type_ == Type::kNull; }
-  [[nodiscard]] bool is_bool() const { return type_ == Type::kBool; }
-  [[nodiscard]] bool is_number() const { return type_ == Type::kNumber; }
-  [[nodiscard]] bool is_string() const { return type_ == Type::kString; }
-  [[nodiscard]] bool is_array() const { return type_ == Type::kArray; }
-  [[nodiscard]] bool is_object() const { return type_ == Type::kObject; }
+  [[nodiscard]] Type type() const { return static_cast<Type>(value_.index()); }
+  [[nodiscard]] bool is_null() const { return type() == Type::kNull; }
+  [[nodiscard]] bool is_bool() const { return type() == Type::kBool; }
+  [[nodiscard]] bool is_number() const { return type() == Type::kNumber; }
+  [[nodiscard]] bool is_string() const { return type() == Type::kString; }
+  [[nodiscard]] bool is_array() const { return type() == Type::kArray; }
+  [[nodiscard]] bool is_object() const { return type() == Type::kObject; }
 
   /// Typed accessors; throw std::runtime_error on a type mismatch.
   [[nodiscard]] bool as_bool() const;
@@ -95,15 +107,19 @@ class Json {
   [[nodiscard]] std::string dump(int indent = 0) const;
 
  private:
+  using Members = std::vector<std::pair<std::string, Json>>;
+
   void dump_to(std::string& out, int indent, int depth) const;
   void require(Type type, const char* what) const;
+  [[nodiscard]] const std::vector<Json>& elements() const;
+  [[nodiscard]] const Members& fields() const;
 
-  Type type_ = Type::kNull;
-  bool bool_ = false;
-  double number_ = 0.0;
-  std::string string_;
-  std::vector<Json> array_;
-  std::vector<std::pair<std::string, Json>> object_;
+  // One alternative per Type, in Type's order.  Bools and numbers sit
+  // inline and everything else behind one pointer, so a value is 16 bytes
+  // and a long array of numbers (per-pass benchmark timings) stays small.
+  std::variant<std::monostate, bool, double, std::unique_ptr<std::string>,
+               std::unique_ptr<std::vector<Json>>, std::unique_ptr<Members>>
+      value_;
 };
 
 }  // namespace jps::util

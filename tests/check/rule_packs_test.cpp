@@ -155,12 +155,8 @@ core::ExecutionPlan one_job_plan(double f, double g, std::size_t cut) {
   a.job_id = 0;
   a.cut_index = cut;
   plan.jobs.push_back(a);
-  sched::Job job;
-  job.id = 0;
-  job.cut = static_cast<int>(cut);
-  job.f = f;
-  job.g = g;
-  plan.scheduled_jobs.push_back(job);
+  plan.f_lane.push_back(f);
+  plan.g_lane.push_back(g);
   plan.predicted_makespan = f + g;  // closed form for one job
   return plan;
 }
@@ -204,15 +200,19 @@ TEST(LintPlan, CutBeyondCurveIsP001) {
 
 TEST(LintPlan, InconsistentArraysAreP007) {
   core::ExecutionPlan plan = one_job_plan(10.0, 5.0, 1);
-  plan.scheduled_jobs[0].id = 9;  // disagrees with jobs[0].job_id
+  plan.g_lane.push_back(5.0);  // a g entry no job owns
   DiagnosticList out;
   lint_plan(plan, out);
   EXPECT_TRUE(out.has_code("P007"));
+  plan.g_lane.clear();  // a job without its g entry
+  DiagnosticList missing;
+  lint_plan(plan, missing);
+  EXPECT_TRUE(missing.has_code("P007"));
 }
 
 TEST(LintPlan, NonFiniteLatencyIsP002) {
   core::ExecutionPlan plan = one_job_plan(10.0, 5.0, 1);
-  plan.scheduled_jobs[0].g = std::numeric_limits<double>::quiet_NaN();
+  plan.g_lane[0] = std::numeric_limits<double>::quiet_NaN();
   DiagnosticList out;
   lint_plan(plan, out);
   EXPECT_TRUE(out.has_code("P002"));

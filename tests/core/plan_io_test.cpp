@@ -35,11 +35,11 @@ TEST(PlanIo, RoundTripPreservesEverything) {
   ASSERT_EQ(parsed.jobs.size(), plan.jobs.size());
   for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
     EXPECT_EQ(parsed.jobs[i], plan.jobs[i]);
-    EXPECT_DOUBLE_EQ(parsed.scheduled_jobs[i].f, plan.scheduled_jobs[i].f);
-    EXPECT_DOUBLE_EQ(parsed.scheduled_jobs[i].g, plan.scheduled_jobs[i].g);
+    EXPECT_DOUBLE_EQ(parsed.f_lane[i], plan.f_lane[i]);
+    EXPECT_DOUBLE_EQ(parsed.g_lane[i], plan.g_lane[i]);
   }
   // The reloaded stage lengths still reproduce the recorded makespan.
-  EXPECT_NEAR(sched::flowshop2_makespan(parsed.scheduled_jobs),
+  EXPECT_NEAR(sched::flowshop2_makespan(parsed.job_list()),
               parsed.predicted_makespan, 1e-9);
 }
 

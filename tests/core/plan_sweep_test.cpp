@@ -109,8 +109,8 @@ void expect_sweep_matches_scalar(const partition::ProfileCurve& base,
     ASSERT_EQ(expanded.jobs.size(), scalar.jobs.size());
     for (std::size_t i = 0; i < expanded.jobs.size(); ++i) {
       EXPECT_EQ(expanded.jobs[i], scalar.jobs[i]);
-      EXPECT_EQ(expanded.scheduled_jobs[i].f, scalar.scheduled_jobs[i].f);
-      EXPECT_EQ(expanded.scheduled_jobs[i].g, scalar.scheduled_jobs[i].g);
+      EXPECT_EQ(expanded.f_lane[i], scalar.f_lane[i]);
+      EXPECT_EQ(expanded.g_lane[i], scalar.g_lane[i]);
     }
   }
 }
@@ -205,14 +205,14 @@ TEST(PlanSweep, PlanCarriesLanes) {
   util::Rng rng(13);
   const partition::ProfileCurve curve = random_curve(rng, false);
   const ExecutionPlan plan = Planner(curve).plan(Strategy::kJPSTuned, 6);
-  ASSERT_EQ(plan.f_lane.size(), plan.scheduled_jobs.size());
-  ASSERT_EQ(plan.g_lane.size(), plan.scheduled_jobs.size());
-  for (std::size_t i = 0; i < plan.scheduled_jobs.size(); ++i) {
-    EXPECT_EQ(plan.f_lane[i], plan.scheduled_jobs[i].f);
-    EXPECT_EQ(plan.g_lane[i], plan.scheduled_jobs[i].g);
+  ASSERT_EQ(plan.f_lane.size(), plan.jobs.size());
+  ASSERT_EQ(plan.g_lane.size(), plan.jobs.size());
+  for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
+    EXPECT_EQ(plan.f_lane[i], curve.f(plan.jobs[i].cut_index));
+    EXPECT_EQ(plan.g_lane[i], curve.g(plan.jobs[i].cut_index));
   }
   EXPECT_EQ(plan.predicted_makespan,
-            sched::flowshop2_makespan(plan.scheduled_jobs));
+            sched::flowshop2_makespan(plan.job_list()));
 }
 
 TEST(PlanSweep, BatchKernelBitIdenticalToScalar) {

@@ -42,22 +42,22 @@ TEST(Planner, LocalOnlyUsesNoLink) {
   const Planner planner(curve_for("alexnet", 5.85));
   const ExecutionPlan plan = planner.plan(Strategy::kLocalOnly, 10);
   ASSERT_EQ(plan.jobs.size(), 10u);
-  for (const auto& job : plan.scheduled_jobs) {
-    EXPECT_DOUBLE_EQ(job.g, 0.0);
-    EXPECT_GT(job.f, 0.0);
+  for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
+    EXPECT_DOUBLE_EQ(plan.g_lane[i], 0.0);
+    EXPECT_GT(plan.f_lane[i], 0.0);
   }
   // Makespan = n * full local time.
-  EXPECT_NEAR(plan.predicted_makespan, 10.0 * plan.scheduled_jobs[0].f, 1e-6);
+  EXPECT_NEAR(plan.predicted_makespan, 10.0 * plan.f_lane[0], 1e-6);
 }
 
 TEST(Planner, CloudOnlyComputesNothingLocally) {
   const Planner planner(curve_for("alexnet", 5.85));
   const ExecutionPlan plan = planner.plan(Strategy::kCloudOnly, 10);
-  for (const auto& job : plan.scheduled_jobs) {
-    EXPECT_DOUBLE_EQ(job.f, 0.0);
-    EXPECT_GT(job.g, 0.0);
+  for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
+    EXPECT_DOUBLE_EQ(plan.f_lane[i], 0.0);
+    EXPECT_GT(plan.g_lane[i], 0.0);
   }
-  EXPECT_NEAR(plan.predicted_makespan, 10.0 * plan.scheduled_jobs[0].g, 1e-6);
+  EXPECT_NEAR(plan.predicted_makespan, 10.0 * plan.g_lane[0], 1e-6);
 }
 
 TEST(Planner, PartitionOnlyIsHomogeneousSingleJobOptimum) {
@@ -141,16 +141,15 @@ TEST(Planner, ScheduledOrderIsJohnson) {
   const ExecutionPlan plan = planner.plan(Strategy::kJPS, 30);
   // S1 (f < g) first, ascending f; then S2, descending g.
   for (std::size_t i = 0; i < plan.comm_heavy_count; ++i) {
-    EXPECT_LT(plan.scheduled_jobs[i].f, plan.scheduled_jobs[i].g);
+    EXPECT_LT(plan.f_lane[i], plan.g_lane[i]);
     if (i > 0) {
-      EXPECT_GE(plan.scheduled_jobs[i].f, plan.scheduled_jobs[i - 1].f);
+      EXPECT_GE(plan.f_lane[i], plan.f_lane[i - 1]);
     }
   }
-  for (std::size_t i = plan.comm_heavy_count; i < plan.scheduled_jobs.size();
-       ++i) {
-    EXPECT_GE(plan.scheduled_jobs[i].f, plan.scheduled_jobs[i].g);
+  for (std::size_t i = plan.comm_heavy_count; i < plan.jobs.size(); ++i) {
+    EXPECT_GE(plan.f_lane[i], plan.g_lane[i]);
     if (i > plan.comm_heavy_count) {
-      EXPECT_LE(plan.scheduled_jobs[i].g, plan.scheduled_jobs[i - 1].g);
+      EXPECT_LE(plan.g_lane[i], plan.g_lane[i - 1]);
     }
   }
 }
@@ -375,9 +374,9 @@ double simulated_plan_makespan(const ExecutionPlan& plan) {
   sim::EventSimulator sim;
   const sim::ResourceId cpu = sim.add_resource("mobile_cpu");
   const sim::ResourceId link = sim.add_resource("uplink");
-  for (const sched::Job& job : plan.scheduled_jobs) {
-    const sim::TaskId comp = sim.add_task(cpu, job.f, {});
-    sim.add_task(link, job.g, {comp});
+  for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
+    const sim::TaskId comp = sim.add_task(cpu, plan.f_lane[i], {});
+    sim.add_task(link, plan.g_lane[i], {comp});
   }
   sim.run();
   return sim.makespan();

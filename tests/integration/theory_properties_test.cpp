@@ -131,7 +131,7 @@ TEST_P(TheoremSeeds, AverageMakespanFormulaAtScale) {
   const core::Planner planner(curve);
   const int n = 2000;
   const core::ExecutionPlan plan = planner.plan(core::Strategy::kJPS, n);
-  const double bound = sched::average_makespan_bound(plan.scheduled_jobs);
+  const double bound = sched::average_makespan_bound(plan.job_list());
   EXPECT_NEAR(plan.predicted_makespan / static_cast<double>(n), bound,
               0.01 * bound + 0.5);
 }

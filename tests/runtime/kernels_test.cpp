@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "dnn/layer.h"
@@ -140,6 +144,45 @@ TEST(Kernels, Activations) {
     sum += s[i];
   }
   EXPECT_NEAR(sum, 1.0f, 1e-5f);
+}
+
+TEST(Kernels, ReluAndRelu6KeepStdMaxAndClampBits) {
+  // ReLU is std::max(0.0f, x): NaN and -0 become +0.  ReLU6 is
+  // std::clamp(x, 0.0f, 6.0f): NaN and -0 pass through.  Eleven inputs
+  // cover both the four-wide body and the scalar tail.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float above_six = std::nextafter(6.0f, inf);
+  const float below_six = std::nextafter(6.0f, 0.0f);
+  const Tensor in = make_tensor(
+      TensorShape::flat(11), {0.0f, -0.0f, inf, -inf, nan, 6.0f, above_six,
+                              below_six, -2.5f, 1e-45f, -1e-45f});
+  const LayerWeights none;
+  const Tensor relu =
+      run_layer(*dnn::activation(dnn::ActivationKind::kReLU), {{in}}, none);
+  const Tensor relu6 =
+      run_layer(*dnn::activation(dnn::ActivationKind::kReLU6), {{in}}, none);
+  const auto bits = [](float v) { return std::bit_cast<std::uint32_t>(v); };
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    EXPECT_EQ(bits(relu[i]), bits(std::max(0.0f, in[i]))) << "input " << i;
+    EXPECT_EQ(bits(relu6[i]), bits(std::clamp(in[i], 0.0f, 6.0f)))
+        << "input " << i;
+  }
+  // The pinned values themselves, so the expectations above cannot drift.
+  EXPECT_EQ(bits(relu[1]), bits(0.0f));   // -0 -> +0
+  EXPECT_EQ(bits(relu[4]), bits(0.0f));   // NaN -> +0
+  EXPECT_EQ(relu[2], inf);
+  EXPECT_EQ(bits(relu[3]), bits(0.0f));
+  EXPECT_EQ(relu[6], above_six);
+  EXPECT_EQ(bits(relu6[1]), bits(-0.0f));  // -0 kept
+  EXPECT_TRUE(std::isnan(relu6[4]));       // NaN kept
+  EXPECT_EQ(relu6[2], 6.0f);
+  EXPECT_EQ(bits(relu6[3]), bits(0.0f));
+  EXPECT_EQ(relu6[5], 6.0f);
+  EXPECT_EQ(relu6[6], 6.0f);
+  EXPECT_EQ(relu6[7], below_six);
+  EXPECT_EQ(relu6[9], 1e-45f);
+  EXPECT_EQ(bits(relu6[10]), bits(0.0f));
 }
 
 TEST(Kernels, BatchNormAffine) {

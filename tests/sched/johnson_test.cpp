@@ -93,6 +93,37 @@ TEST(Johnson, SortedAndShuffledInputsGiveTheSameSequence) {
   }
 }
 
+TEST(Johnson, LanesGiveTheJobSchedule) {
+  // The lane overload must return the Job-span schedule: same permutation
+  // and S1 count, on shuffled and on already sorted tie-heavy inputs.
+  util::Rng rng(59);
+  for (int trial = 0; trial < 400; ++trial) {
+    JobList jobs;
+    const int n = static_cast<int>(rng.uniform_int(0, 12));
+    for (int i = 0; i < n; ++i) {
+      jobs.push_back(Job{.id = i,
+                         .cut = -1,
+                         .f = static_cast<double>(rng.uniform_int(0, 3)),
+                         .g = static_cast<double>(rng.uniform_int(0, 3))});
+    }
+    if (trial % 2 == 0) jobs = apply_order(jobs, johnson_order(jobs).order);
+    std::vector<double> f;
+    std::vector<double> g;
+    for (const Job& job : jobs) {
+      f.push_back(job.f);
+      g.push_back(job.g);
+    }
+    const JohnsonSchedule want = johnson_order(jobs);
+    const JohnsonSchedule got = johnson_order(f, g);
+    EXPECT_EQ(got.order, want.order) << "trial " << trial;
+    EXPECT_EQ(got.comm_heavy_count, want.comm_heavy_count) << "trial " << trial;
+  }
+  const std::vector<double> negative = {1.0, -1.0};
+  const std::vector<double> positive = {1.0, 1.0};
+  EXPECT_THROW((void)johnson_order(negative, positive), std::invalid_argument);
+  EXPECT_THROW((void)johnson_order(positive, {}), std::invalid_argument);
+}
+
 TEST(ApplyOrder, ReordersAndValidates) {
   const JobList jobs = make_jobs({{1, 2}, {3, 4}});
   const std::vector<std::size_t> order{1, 0};

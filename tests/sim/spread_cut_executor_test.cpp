@@ -75,16 +75,13 @@ TEST(SpreadCutExecutor, SimulationMatchesRecurrenceForEveryCut) {
   // homogeneous 5-job plan and compare with the flow-shop recurrence.
   for (std::size_t c = 0; c < curve.size(); ++c) {
     core::ExecutionPlan plan;
-    sched::JobList jobs;
     for (int j = 0; j < 5; ++j) {
       plan.jobs.push_back({j, c});
-      jobs.push_back(sched::Job{.id = j,
-                                .cut = static_cast<int>(c),
-                                .f = curve.f(c),
-                                .g = curve.g(c)});
+      plan.f_lane.push_back(curve.f(c));
+      plan.g_lane.push_back(curve.g(c));
     }
-    plan.scheduled_jobs = jobs;
-    plan.predicted_makespan = sched::flowshop2_makespan(jobs);
+    plan.predicted_makespan =
+        sched::flowshop2_makespan(plan.f_lane, plan.g_lane);
 
     SimOptions options;
     options.include_cloud = false;
@@ -108,15 +105,11 @@ TEST(SpreadCutExecutor, CloudStageConsumesAllShippedTensors) {
   ASSERT_GT(curve.cut(spread_cut).cut_nodes.size(), 1u);
 
   core::ExecutionPlan plan;
-  sched::JobList jobs;
   for (int j = 0; j < 3; ++j) {
     plan.jobs.push_back({j, spread_cut});
-    jobs.push_back(sched::Job{.id = j,
-                              .cut = static_cast<int>(spread_cut),
-                              .f = curve.f(spread_cut),
-                              .g = curve.g(spread_cut)});
+    plan.f_lane.push_back(curve.f(spread_cut));
+    plan.g_lane.push_back(curve.g(spread_cut));
   }
-  plan.scheduled_jobs = jobs;
 
   util::Rng rng(2);
   const SimResult result = simulate_plan(tb.graph, curve, plan, tb.mobile,

@@ -100,6 +100,34 @@ TEST(Json, ObjectKeepsInsertionOrderAndOverwrites) {
   EXPECT_EQ(doc.members()[1].first, "a");
 }
 
+TEST(Json, CopiesAreDeepAndValuesAreSmall) {
+  Json original = Json::object();
+  original.set("name", "plan");
+  Json list = Json::array();
+  list.push_back(1.5);
+  list.push_back(true);
+  original.set("list", list);
+  Json copy = original;
+  copy.set("name", "other");
+  Json grown = copy.at("list");
+  grown.push_back(Json());
+  copy.set("list", grown);
+  EXPECT_EQ(original.dump(), R"({"name":"plan","list":[1.5,true]})");
+  EXPECT_EQ(copy.dump(), R"({"name":"other","list":[1.5,true,null]})");
+  copy = original;
+  EXPECT_EQ(copy.dump(), original.dump());
+
+  Json moved = std::move(copy);
+  EXPECT_EQ(moved.dump(), original.dump());
+  EXPECT_TRUE(copy.is_null());  // NOLINT(bugprone-use-after-move)
+  copy.push_back(2.0);
+  EXPECT_EQ(copy.dump(), "[2]");
+
+  // A number costs one value slot: large arrays of numbers (per-pass
+  // timings in benchmark records) stay a few bytes per element.
+  EXPECT_LE(sizeof(Json), 2 * sizeof(double));
+}
+
 TEST(Json, RoundTripsThroughDump) {
   const std::string text =
       R"({"a":[1,2.5,"s\"x"],"b":{"c":null,"d":false},"e":1e-06})";
