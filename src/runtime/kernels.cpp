@@ -1,9 +1,12 @@
 #include "runtime/kernels.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "dnn/layer_impl.h"  // internal: concrete layer parameter access
@@ -30,9 +33,42 @@ void expect_weights(const dnn::Layer& layer,
   }
 }
 
-// conv2d and pool2d keep the order contract in kernels.h: a tile only
-// puts independent outputs side by side, and each output still visits its
-// valid taps in (ic, ky, kx) order, so no sum is reassociated.
+// conv2d and pool2d keep the order contract in kernels.h.  Both run on one
+// tile routine, visit_taps: a tile is consecutive outputs of one output
+// row, held as kV 4-wide vectors per output channel, and each lane visits
+// its valid taps in (ic, ky, kx) order, so only independent outputs share
+// an instruction and no sum is reassociated.  A tap that falls in the
+// padding is selected away lane by lane, never added as a product with a
+// padding zero: acc = valid ? acc + x * w : acc keeps acc's bits exactly
+// (-0 + +0 would be +0), inf and NaN weights included.
+
+/// Four floats, and four lane masks (all ones or all zeros), as GCC/Clang
+/// vector extensions: plain SSE on baseline x86-64.  The arithmetic is a
+/// separate multiply and add; the build never contracts it to an FMA.
+typedef float Vec __attribute__((vector_size(16)));
+typedef std::int32_t Mask __attribute__((vector_size(16)));
+
+constexpr std::int64_t kLanes = 4;
+/// Accumulators per conv tile: 4 output channels x 2 vectors (8 columns),
+/// or 8 channels x 1 vector on rows of at most kLanes outputs.
+constexpr int kTileVectors = 8;
+constexpr int kMaxVectors = 2;  // vectors per channel
+/// The row routines start on a cache line, so their loops sit at the same
+/// offsets within a line however the code linked before them grows.
+constexpr int kCodeAlign = 64;
+
+Vec load(const float* p) {
+  Vec v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+Vec splat(float x) { return Vec{x, x, x, x}; }
+
+/// valid ? a : b, lane by lane.
+Vec select(Mask valid, Vec a, Vec b) {
+  return (Vec)(((Mask)a & valid) | ((Mask)b & ~valid));
+}
 
 /// Half-open index range.
 struct Range {
@@ -40,144 +76,197 @@ struct Range {
   std::int64_t hi = 0;
 };
 
-/// Taps of a `k`-tap window whose first tap sits at `origin` on an axis of
-/// `extent` elements that land inside the axis (empty when lo >= hi).
-Range taps_inside(std::int64_t origin, std::int64_t k, std::int64_t extent) {
-  return {std::max<std::int64_t>(0, -origin), std::min(k, extent - origin)};
+/// ceil(a / b) for b > 0 and any a.
+std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
+  return a >= 0 ? (a + b - 1) / b : -(-a / b);
 }
 
-/// Output columns whose whole window lies inside the input row: the
-/// window origin ox * stride - pad is >= 0 and ends at or before in_w.
-Range interior_columns(std::int64_t in_w, std::int64_t out_w, std::int64_t k,
-                       std::int64_t stride, std::int64_t pad) {
-  const std::int64_t lo = std::min(out_w, (pad + stride - 1) / stride);
-  const std::int64_t last_origin = in_w - k + pad;
-  const std::int64_t hi =
-      last_origin < 0 ? lo : std::clamp(last_origin / stride + 1, lo, out_w);
-  return {lo, hi};
-}
+/// One spatial axis of a conv or pool window.
+struct Axis {
+  std::int64_t in, out, k, stride, pad;
 
-/// Call tile(ox0, n, interior) over one output row in tiles of at most
-/// `width` columns: border tiles over the padded edges, full-width interior
-/// tiles in between.  When the interior is not a multiple of `width` the
-/// last interior tile is shifted left to overlap its neighbour; recomputing
-/// an output yields the same bits.
-template <typename Tile>
-void for_each_tile(Range interior, std::int64_t out_w, std::int64_t width,
-                   const Tile& tile) {
-  const auto border = [&](std::int64_t from, std::int64_t to) {
-    for (std::int64_t ox = from; ox < to; ox += width)
-      tile(ox, std::min(width, to - ox), false);
-  };
-  border(0, interior.lo);
-  if (interior.hi - interior.lo >= width) {
-    for (std::int64_t ox = interior.lo; ox < interior.hi; ox += width)
-      tile(std::min(ox, interior.hi - width), width, true);
-  } else {
-    border(interior.lo, interior.hi);
+  /// Taps of output `o`'s window that land inside the input (empty when
+  /// lo >= hi).
+  [[nodiscard]] Range taps(std::int64_t o) const {
+    const std::int64_t origin = o * stride - pad;
+    return {std::max<std::int64_t>(0, -origin), std::min(k, in - origin)};
   }
-  border(interior.hi, out_w);
-}
-
-constexpr std::int64_t kTileChannels = 4;  // output channels per conv tile
-constexpr std::int64_t kTileColumns = 8;   // output columns per conv tile
-
-/// Dimensions of one conv2d call, hoisted out of the loops.
-struct ConvGeometry {
-  std::int64_t in_h, in_w, out_h, out_w;
-  std::int64_t kh, kw, stride, ph, pw;
-  std::int64_t cin_per_group;
-  std::int64_t weights_per_oc;  // cin_per_group * kh * kw
 };
 
-/// Accumulate one register tile of kC output channels x kTileColumns
-/// columns of an output row whose windows all lie inside the input row.
-/// `in` is the group's first input channel, `w` the tile's first output
-/// channel's weights, `iy0` the window's top row (ky taps valid in `ky`).
-template <int kC, bool kUnitStride>
-void conv_interior_tile(const ConvGeometry& g, const float* in,
-                        const float* w, std::int64_t iy0, Range ky,
-                        std::int64_t ox0, float (&acc)[kC][kTileColumns]) {
-  const std::int64_t stride = kUnitStride ? 1 : g.stride;
-  const std::int64_t plane = g.in_h * g.in_w;
-  for (std::int64_t ic = 0; ic < g.cin_per_group; ++ic) {
-    for (std::int64_t y = ky.lo; y < ky.hi; ++y) {
-      const float* x =
-          in + ic * plane + (iy0 + y) * g.in_w + ox0 * stride - g.pw;
-      const float* wrow = w + (ic * g.kh + y) * g.kw;
-      for (std::int64_t kx = 0; kx < g.kw; ++kx) {
-        float wk[kC];
-        for (int c = 0; c < kC; ++c) wk[c] = wrow[c * g.weights_per_oc + kx];
-        for (int c = 0; c < kC; ++c)
-          for (int j = 0; j < kTileColumns; ++j)
-            acc[c][j] += x[j * stride + kx] * wk[c];
+/// Vectors per channel in a tile of an output row of `out` columns.
+int tile_vectors(std::int64_t out) { return out <= kLanes ? 1 : kMaxVectors; }
+
+/// How one output row is computed: `tiles` tiles of `width` columns, each
+/// reading padded input rows of `phases` x `len` floats.  Phase r of a
+/// padded row holds padded columns r, r + stride, r + 2 stride, ..., where
+/// padded column p is input column p - pad, zero outside the row.  Tap kx
+/// of output column ox reads phase kx % stride at ox + kx / stride, so the
+/// columns of a tile read consecutive floats at any stride.  `len` covers
+/// every tile in full; the lanes past the row's end are never stored.
+struct RowPlan {
+  std::int64_t width, tiles, phases, len;
+  /// Per phase, the indices that hold input columns.
+  std::vector<Range> inside;
+  /// Per kx, where in a padded row the tile at output column 0 reads.
+  std::vector<std::int64_t> tap_offset;
+
+  RowPlan(const Axis& x, int vectors)
+      : width(vectors * kLanes),
+        tiles(ceil_div(x.out, width)),
+        phases(x.stride),
+        len(tiles * width + (x.k - 1) / x.stride) {
+    // Phase index q of phase r reads input column q * stride + r - pad.
+    for (std::int64_t r = 0; r < phases; ++r) {
+      const std::int64_t lo =
+          std::clamp<std::int64_t>(ceil_div(x.pad - r, x.stride), 0, len);
+      inside.push_back({lo, std::clamp<std::int64_t>(
+                                ceil_div(x.in + x.pad - r, x.stride), lo, len)});
+    }
+    for (std::int64_t kx = 0; kx < x.k; ++kx)
+      tap_offset.push_back(kx % x.stride * len + kx / x.stride);
+  }
+  [[nodiscard]] std::int64_t floats() const { return phases * len; }
+};
+
+void pad_row(const float* src, const Axis& x, const RowPlan& row,
+             float* dst) {
+  for (std::int64_t r = 0; r < row.phases; ++r) {
+    float* phase = dst + r * row.len;
+    const Range in = row.inside[static_cast<std::size_t>(r)];
+    std::fill(phase, phase + in.lo, 0.0f);
+    for (std::int64_t q = in.lo; q < in.hi; ++q)
+      phase[q] = src[q * x.stride + r - x.pad];
+    std::fill(phase + in.hi, phase + row.len, 0.0f);
+  }
+}
+
+/// Which lanes of a tile read an input column, not padding, at one kx.
+struct TapMask {
+  Mask lane[kMaxVectors];
+  bool all[kMaxVectors];  // every lane of the vector: the select is the add
+};
+
+/// masks[t * k + kx] for tile t and tap kx.  Lanes past the row's end
+/// count as valid: their results are never stored.
+std::vector<TapMask> tap_masks(const Axis& x, const RowPlan& row) {
+  std::vector<TapMask> masks(static_cast<std::size_t>(row.tiles * x.k));
+  for (std::int64_t t = 0; t < row.tiles; ++t) {
+    for (std::int64_t kx = 0; kx < x.k; ++kx) {
+      TapMask& m = masks[static_cast<std::size_t>(t * x.k + kx)];
+      for (std::int64_t j = 0; j < kMaxVectors * kLanes; ++j) {
+        const std::int64_t ox = t * row.width + j;
+        const std::int64_t ix = ox * x.stride - x.pad + kx;
+        const bool valid = ox >= x.out || (ix >= 0 && ix < x.in);
+        m.lane[j / kLanes][j % kLanes] = valid ? -1 : 0;
+        m.all[j / kLanes] = (j % kLanes == 0 || m.all[j / kLanes]) && valid;
+      }
+    }
+  }
+  return masks;
+}
+
+/// Padded input rows in this thread's scratch band: for each of `channels`
+/// input channels, input rows first + t for t in `fill`, padded row t of
+/// channel c at (c * rows + t) * row.floats().  The band is reused and grown
+/// to the largest one the thread has held, so it adds no memory per call or
+/// per job.
+const float* pad_band(const float* in, std::int64_t channels,
+                      std::int64_t rows, std::int64_t first, Range fill,
+                      const Axis& y, const Axis& x, const RowPlan& row) {
+  thread_local std::vector<float> band;
+  band.resize(static_cast<std::size_t>(channels * rows * row.floats()));
+  for (std::int64_t c = 0; c < channels; ++c)
+    for (std::int64_t t = fill.lo; t < fill.hi; ++t)
+      pad_row(in + (c * y.in + first + t) * x.in, x, row,
+              band.data() + (c * rows + t) * row.floats());
+  return band.data();
+}
+
+/// f(i) for i = 0, ..., kN - 1 as compile-time constants: the unrolled
+/// loops that let a tile's accumulators live in registers.
+template <int kN, class F>
+void unrolled(F&& f) {
+  [&]<int... i>(std::integer_sequence<int, i...>) {
+    (f(std::integral_constant<int, i>{}), ...);
+  }(std::make_integer_sequence<int, kN>{});
+}
+
+/// The tile routine: calls tap(i, x, mask) for every tap of the tile at
+/// output column ox0, in (ic, ky, kx) order.  Window row ky of input
+/// channel ic is padded row ic * rows + row0 + ky of `band`.
+/// i = (ic * kh + ky) * kw + kx indexes one output channel's weights; x
+/// holds the input values of the tile's kV lane vectors; `masks` are the
+/// tile's, one per kx.
+template <int kV, class Tap>
+void visit_taps(const float* band, std::int64_t channels, std::int64_t rows,
+                std::int64_t row0, const Axis& y, Range ky, const Axis& x,
+                const RowPlan& row, std::int64_t ox0, const TapMask* masks,
+                Tap&& tap) {
+  for (std::int64_t ic = 0; ic < channels; ++ic) {
+    for (std::int64_t t = ky.lo; t < ky.hi; ++t) {
+      const float* tile = band + (ic * rows + row0 + t) * row.floats() + ox0;
+      const std::int64_t i0 = (ic * y.k + t) * x.k;
+      for (std::int64_t kx = 0; kx < x.k; ++kx) {
+        const float* p = tile + row.tap_offset[static_cast<std::size_t>(kx)];
+        Vec in[kV];
+        unrolled<kV>([&](auto v) { in[v] = load(p + v * kLanes); });
+        tap(i0 + kx, in, masks[kx]);
       }
     }
   }
 }
 
-/// The same for `n` <= kTileColumns columns anywhere in the row: each
-/// column skips the kx taps that fall in the padding.
-template <int kC>
-void conv_border_tile(const ConvGeometry& g, const float* in, const float* w,
-                      std::int64_t iy0, Range ky, std::int64_t ox0,
-                      std::int64_t n, float (&acc)[kC][kTileColumns]) {
-  const std::int64_t plane = g.in_h * g.in_w;
-  Range kx[kTileColumns];
-  for (std::int64_t j = 0; j < n; ++j)
-    kx[j] = taps_inside((ox0 + j) * g.stride - g.pw, g.kw, g.in_w);
-  for (std::int64_t ic = 0; ic < g.cin_per_group; ++ic) {
-    for (std::int64_t y = ky.lo; y < ky.hi; ++y) {
-      const float* row = in + ic * plane + (iy0 + y) * g.in_w;
-      const float* wrow = w + (ic * g.kh + y) * g.kw;
-      for (std::int64_t j = 0; j < n; ++j) {
-        const std::int64_t ix0 = (ox0 + j) * g.stride - g.pw;
-        for (std::int64_t t = kx[j].lo; t < kx[j].hi; ++t)
-          for (int c = 0; c < kC; ++c)
-            acc[c][j] += row[ix0 + t] * wrow[c * g.weights_per_oc + t];
-      }
-    }
+/// Store lanes [0, n) of a tile's kV vectors at `dst`.
+template <int kV>
+void store_lanes(const Vec (&v)[kV], std::int64_t n, float* dst) {
+  float lanes[kV * kLanes];
+  std::memcpy(lanes, v, sizeof lanes);
+  std::copy_n(lanes, n, dst);
+}
+
+/// One output row of kC consecutive output channels of one group, in
+/// tiles of kV vectors per channel.  `w` is the first channel's weights,
+/// `bias` null for bias-free layers, `out` the first channel's output row.
+template <int kC, int kV>
+[[gnu::aligned(kCodeAlign)]] void conv_row(
+    const float* band, std::int64_t cin_per_group, const Axis& y, Range ky,
+    const Axis& x, const RowPlan& row, const TapMask* masks, const float* w,
+    std::int64_t weights_per_oc, const float* bias, std::int64_t out_plane,
+    float* out) {
+  for (std::int64_t t = 0; t < row.tiles; ++t) {
+    const std::int64_t ox0 = t * row.width;
+    Vec acc[kC][kV];
+    unrolled<kC>([&](auto c) {
+      unrolled<kV>([&](auto v) {
+        acc[c][v] = splat(bias != nullptr ? bias[c] : 0.0f);
+      });
+    });
+    visit_taps<kV>(
+        band, cin_per_group, y.k, 0, y, ky, x, row, ox0, masks + t * x.k,
+        [&](std::int64_t i, const Vec (&in)[kV], const TapMask& m) {
+          unrolled<kC>([&](auto c) {
+            const Vec wc = splat(w[c * weights_per_oc + i]);
+            unrolled<kV>([&](auto v) {
+              const Vec sum = acc[c][v] + in[v] * wc;
+              acc[c][v] = m.all[v] ? sum : select(m.lane[v], sum, acc[c][v]);
+            });
+          });
+        });
+    const std::int64_t n = std::min(row.width, x.out - ox0);
+    unrolled<kC>([&](auto c) {
+      store_lanes<kV>(acc[c], n, out + c * out_plane + ox0);
+    });
   }
 }
 
-/// All outputs of kC consecutive output channels of one group.  `bias` is
-/// null for bias-free layers; `out` is the first channel's output plane.
-template <int kC, bool kUnitStride>
-void conv_block(const ConvGeometry& g, const float* in, const float* w,
-                const float* bias, float* out) {
-  const std::int64_t out_plane = g.out_h * g.out_w;
-  const Range interior =
-      interior_columns(g.in_w, g.out_w, g.kw, g.stride, g.pw);
-  for (std::int64_t oy = 0; oy < g.out_h; ++oy) {
-    const std::int64_t iy0 = oy * g.stride - g.ph;
-    const Range ky = taps_inside(iy0, g.kh, g.in_h);
-    float* out_row = out + oy * g.out_w;
-    for_each_tile(interior, g.out_w, kTileColumns,
-                  [&](std::int64_t ox0, std::int64_t n, bool inside) {
-                    float acc[kC][kTileColumns];
-                    for (int c = 0; c < kC; ++c)
-                      for (int j = 0; j < kTileColumns; ++j)
-                        acc[c][j] = bias != nullptr ? bias[c] : 0.0f;
-                    if (inside) {
-                      conv_interior_tile<kC, kUnitStride>(g, in, w, iy0, ky,
-                                                          ox0, acc);
-                    } else {
-                      conv_border_tile<kC>(g, in, w, iy0, ky, ox0, n, acc);
-                    }
-                    for (int c = 0; c < kC; ++c)
-                      std::copy_n(acc[c], n, out_row + c * out_plane + ox0);
-                  });
-  }
-}
+using ConvRow = decltype(&conv_row<1, 1>);
 
-template <bool kUnitStride>
-void conv_block(int channels, const ConvGeometry& g, const float* in,
-                const float* w, const float* bias, float* out) {
-  if (channels == kTileChannels) {
-    conv_block<kTileChannels, kUnitStride>(g, in, w, bias, out);
-  } else {
-    conv_block<1, kUnitStride>(g, in, w, bias, out);
-  }
+/// conv_row<kC, kV> for kC = 1, ..., kTileVectors / kV.
+template <int kV>
+constexpr auto conv_rows() {
+  return []<int... c>(std::integer_sequence<int, c...>) {
+    return std::array<ConvRow, sizeof...(c)>{conv_row<c + 1, kV>...};
+  }(std::make_integer_sequence<int, kTileVectors / kV>{});
 }
 
 Tensor conv2d(const dnn::detail::Conv2dLayer& conv, const Tensor& in,
@@ -188,92 +277,88 @@ Tensor conv2d(const dnn::detail::Conv2dLayer& conv, const Tensor& in,
   const std::int64_t groups = conv.depthwise() ? cin : conv.groups();
   const std::int64_t cin_per_group = cin / groups;
   const std::int64_t cout_per_group = cout / groups;
-  const ConvGeometry g{
-      .in_h = in.shape().height(),
-      .in_w = in.shape().width(),
-      .out_h = out_shape.height(),
-      .out_w = out_shape.width(),
-      .kh = conv.kernel_h(),
-      .kw = conv.kernel_w(),
-      .stride = conv.stride(),
-      .ph = conv.padding_h(),
-      .pw = conv.padding_w(),
-      .cin_per_group = cin_per_group,
-      .weights_per_oc = cin_per_group * conv.kernel_h() * conv.kernel_w()};
-  const std::int64_t in_plane = g.in_h * g.in_w;
-  const std::int64_t out_plane = g.out_h * g.out_w;
+  const Axis y{in.shape().height(), out_shape.height(), conv.kernel_h(),
+               conv.stride(), conv.padding_h()};
+  const Axis x{in.shape().width(), out_shape.width(), conv.kernel_w(),
+               conv.stride(), conv.padding_w()};
+  const int vectors = tile_vectors(x.out);
+  const RowPlan row(x, vectors);
+  const std::vector<TapMask> masks = tap_masks(x, row);
+  static constexpr auto kRows1 = conv_rows<1>();
+  static constexpr auto kRows2 = conv_rows<2>();
+  const std::span<const ConvRow> rows =
+      vectors == 1 ? std::span<const ConvRow>(kRows1) : kRows2;
+  const auto tile_channels = static_cast<std::int64_t>(rows.size());
+  const std::int64_t weights_per_oc = cin_per_group * y.k * x.k;
+  const std::int64_t out_plane = y.out * x.out;
   const bool has_bias = !weights.bias.empty();
 
-  // Work items are blocks of kTileChannels output channels of one group,
-  // then the group's leftover channels one by one.
-  const std::int64_t full_blocks = cout_per_group / kTileChannels;
-  const std::int64_t blocks_per_group =
-      full_blocks + cout_per_group % kTileChannels;
+  // Work items are (group, output row): the band of padded input rows is
+  // built once per item and read by every output channel of the group, in
+  // tiles of tile_channels channels and then one tile of the rest.
   util::parallel_for(
-      static_cast<std::size_t>(groups * blocks_per_group),
-      [&](std::size_t b) {
-        const auto block = static_cast<std::int64_t>(b);
-        const std::int64_t group = block / blocks_per_group;
-        const std::int64_t r = block % blocks_per_group;
-        const bool full = r < full_blocks;
-        const std::int64_t oc =
-            group * cout_per_group +
-            (full ? r * kTileChannels : full_blocks * kTileChannels +
-                                            (r - full_blocks));
-        const int channels = full ? static_cast<int>(kTileChannels) : 1;
-        const float* group_in =
-            in.data() + group * cin_per_group * in_plane;
-        const float* w = weights.weights.data() + oc * g.weights_per_oc;
-        const float* bias = has_bias ? weights.bias.data() + oc : nullptr;
-        float* dst = out.data() + oc * out_plane;
-        if (g.stride == 1) {
-          conv_block<true>(channels, g, group_in, w, bias, dst);
-        } else {
-          conv_block<false>(channels, g, group_in, w, bias, dst);
+      static_cast<std::size_t>(groups * y.out), [&](std::size_t item) {
+        const auto group = static_cast<std::int64_t>(item) / y.out;
+        const auto oy = static_cast<std::int64_t>(item) % y.out;
+        const Range ky = y.taps(oy);
+        const float* band =
+            pad_band(in.data() + group * cin_per_group * y.in * x.in,
+                     cin_per_group, y.k, oy * y.stride - y.pad, ky, y, x, row);
+        for (std::int64_t c0 = 0; c0 < cout_per_group; c0 += tile_channels) {
+          const std::int64_t oc = group * cout_per_group + c0;
+          const std::int64_t channels =
+              std::min(tile_channels, cout_per_group - c0);
+          rows[static_cast<std::size_t>(channels - 1)](
+              band, cin_per_group, y, ky, x, row, masks.data(),
+              weights.weights.data() + oc * weights_per_oc, weights_per_oc,
+              has_bias ? weights.bias.data() + oc : nullptr, out_plane,
+              out.data() + oc * out_plane + oy * x.out);
         }
       });
   return out;
 }
 
-/// One channel of a pooling layer; windows are square.
-template <bool kMax>
-void pool_plane(const float* in, float* out, std::int64_t in_h,
-                std::int64_t in_w, std::int64_t out_h, std::int64_t out_w,
-                std::int64_t kernel, std::int64_t stride,
-                std::int64_t padding) {
-  const Range interior = interior_columns(in_w, out_w, kernel, stride, padding);
-  for (std::int64_t oy = 0; oy < out_h; ++oy) {
-    const std::int64_t iy0 = oy * stride - padding;
-    const Range ky = taps_inside(iy0, kernel, in_h);
-    const std::int64_t rows = std::max<std::int64_t>(0, ky.hi - ky.lo);
-    const auto window = [&](std::int64_t ox, Range kx) {
-      const std::int64_t ix0 = ox * stride - padding;
-      float acc = kMax ? -std::numeric_limits<float>::infinity() : 0.0f;
-      for (std::int64_t y = ky.lo; y < ky.hi; ++y) {
-        const float* row = in + (iy0 + y) * in_w;
-        for (std::int64_t t = kx.lo; t < kx.hi; ++t) {
-          if constexpr (kMax) {
-            acc = std::max(acc, row[ix0 + t]);
-          } else {
-            acc += row[ix0 + t];
-          }
-        }
-      }
-      if constexpr (kMax) {
-        out[oy * out_w + ox] = acc;
-      } else {
+/// Output row oy of one pooling channel whose padded input rows are all in
+/// `band`; windows are square.
+template <bool kMax, int kV>
+[[gnu::aligned(kCodeAlign)]] void pool_row(const float* band, const Axis& y,
+                                           std::int64_t oy, const Axis& x,
+                                           const RowPlan& row,
+                                           const TapMask* masks, float* out) {
+  const Range ky = y.taps(oy);
+  // The first value of std::max's or the sum's fold.
+  const float init = kMax ? -std::numeric_limits<float>::infinity() : 0.0f;
+  const std::int64_t rows = std::max<std::int64_t>(0, ky.hi - ky.lo);
+  for (std::int64_t t = 0; t < row.tiles; ++t) {
+    const std::int64_t ox0 = t * row.width;
+    Vec acc[kV];
+    unrolled<kV>([&](auto v) { acc[v] = splat(init); });
+    visit_taps<kV>(band, 1, y.in, oy * y.stride - y.pad, y, ky, x, row, ox0,
+                   masks + t * x.k,
+                   [&](std::int64_t, const Vec (&in)[kV], const TapMask& m) {
+                     unrolled<kV>([&](auto v) {
+                       if constexpr (kMax) {
+                         // std::max(acc, x) is acc < x ? x : acc.
+                         acc[v] = select(m.lane[v] & (acc[v] < in[v]), in[v],
+                                         acc[v]);
+                       } else {
+                         acc[v] = select(m.lane[v], acc[v] + in[v], acc[v]);
+                       }
+                     });
+                   });
+    const std::int64_t n = std::min(row.width, x.out - ox0);
+    if constexpr (kMax) {
+      store_lanes<kV>(acc, n, out + ox0);
+    } else {
+      float sums[kV * kLanes];
+      std::memcpy(sums, acc, sizeof sums);
+      for (std::int64_t j = 0; j < n; ++j) {
+        const Range kx = x.taps(ox0 + j);
         const std::int64_t count =
             rows * std::max<std::int64_t>(0, kx.hi - kx.lo);
-        out[oy * out_w + ox] =
-            count > 0 ? acc / static_cast<float>(count) : 0.0f;
+        out[ox0 + j] = count > 0 ? sums[j] / static_cast<float>(count) : 0.0f;
       }
-    };
-    for_each_tile(interior, out_w, 1,
-                  [&](std::int64_t ox, std::int64_t, bool inside) {
-                    window(ox, inside ? Range{0, kernel}
-                                      : taps_inside(ox * stride - padding,
-                                                    kernel, in_w));
-                  });
+    }
   }
 }
 
@@ -281,22 +366,28 @@ Tensor pool2d(const dnn::detail::Pool2dLayer& pool, const Tensor& in,
               const TensorShape& out_shape, std::int64_t kernel,
               std::int64_t stride, std::int64_t padding) {
   Tensor out(out_shape);
+  const Axis y{in.shape().height(), out_shape.height(), kernel, stride,
+               padding};
+  const Axis x{in.shape().width(), out_shape.width(), kernel, stride,
+               padding};
+  const int vectors = tile_vectors(x.out);
+  const RowPlan row(x, vectors);
+  const std::vector<TapMask> masks = tap_masks(x, row);
   const bool is_max = pool.pool_kind() == dnn::PoolKind::kMax;
-  const std::int64_t in_h = in.shape().height();
-  const std::int64_t in_w = in.shape().width();
-  const std::int64_t out_h = out_shape.height();
-  const std::int64_t out_w = out_shape.width();
+  const auto pool_rows = is_max ? (vectors == 1 ? pool_row<true, 1>
+                                                : pool_row<true, 2>)
+                                : (vectors == 1 ? pool_row<false, 1>
+                                                : pool_row<false, 2>);
+  // Work items are channels; each pads its input rows once, for all of
+  // its output rows.
   util::parallel_for(
-      static_cast<std::size_t>(out_shape.channels()), [&](std::size_t c) {
-        const float* src = in.data() + c * static_cast<std::size_t>(in_h * in_w);
-        float* dst = out.data() + c * static_cast<std::size_t>(out_h * out_w);
-        if (is_max) {
-          pool_plane<true>(src, dst, in_h, in_w, out_h, out_w, kernel, stride,
-                           padding);
-        } else {
-          pool_plane<false>(src, dst, in_h, in_w, out_h, out_w, kernel, stride,
-                            padding);
-        }
+      static_cast<std::size_t>(out_shape.channels()), [&](std::size_t item) {
+        const auto c = static_cast<std::int64_t>(item);
+        const float* band = pad_band(in.data() + c * y.in * x.in, 1, y.in, 0,
+                                     {0, y.in}, y, x, row);
+        for (std::int64_t oy = 0; oy < y.out; ++oy)
+          pool_rows(band, y, oy, x, row, masks.data(),
+                    out.data() + (c * y.out + oy) * x.out);
       });
   return out;
 }

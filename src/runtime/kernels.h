@@ -2,15 +2,24 @@
 // graphs for real — validating shape inference with live data and feeding
 // the host profiler, whose timings the planner consumes.
 //
-// conv2d and pool2d are direct kernels over raw rows: dimensions hoisted,
-// each output row split into its interior and padded borders (out-of-range
-// taps are skipped, never multiplied by zero), stride 1 specialised, and a
-// register tile of 4 output channels x 8 columns accumulated at once.  They
-// use no scratch memory beyond the output.  Every output is reduced in the
-// order of a scalar loop over its window — bias (or 0), then in * w over
-// (ic, ky, kx) lexicographically — and only independent outputs share a
-// tile, so results are bit-identical to that loop at any thread count;
-// tests/runtime/kernels_oracle_test.cpp checks it with memcmp.
+// conv2d and pool2d share one vector tile routine.  A tile is 8
+// register-resident 4-wide accumulators: 4 output channels x 8 columns of
+// one output row, or 8 channels x 4 columns on rows of at most 4 outputs.
+// Each output row of a conv group, and each pooling channel, first copies
+// the input rows it reads into a horizontally padded scratch band, split
+// into `stride` phases so that the columns of a tile read consecutive
+// floats at any stride.  The band is per-thread scratch, reused and grown
+// to the largest band the thread has needed, so a call allocates nothing
+// that grows with its work beyond its output and a few per-call tables
+// (lane masks, tap offsets).  A tap that falls in the padding is selected
+// away lane by lane (acc = valid ? acc + x * w : acc), never added as a
+// product with a padding zero, so -0, inf and NaN come out as if the tap
+// were skipped.  Every output is reduced in the order of a scalar loop over
+// its window — bias (or 0), then in * w over the valid (ic, ky, kx)
+// lexicographically, each a separate multiply and add (no FMA) — and only
+// independent outputs share a tile, so results are bit-identical to that
+// loop at any thread count; tests/runtime/kernels_oracle_test.cpp checks it
+// with memcmp.
 #pragma once
 
 #include <cstdint>

@@ -83,8 +83,8 @@ TEST(PlanCache, KeysCanonicalizeNegativeZero) {
     builds.fetch_add(1);
     return build_alexnet_curve(5.85);
   };
-  cache.curve({"alexnet", "pi4b", 0.0}, build);
-  cache.curve({"alexnet", "pi4b", -0.0}, build);
+  (void)cache.curve({"alexnet", "pi4b", 0.0}, build);
+  (void)cache.curve({"alexnet", "pi4b", -0.0}, build);
   EXPECT_EQ(builds.load(), 1);
   EXPECT_EQ(cache.curve_count(), 1u);
 }

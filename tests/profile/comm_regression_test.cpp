@@ -70,11 +70,11 @@ TEST(CommRegression, PredictValidation) {
   util::Rng rng(7);
   const CommRegression model = CommRegression::train_on_channel(
       channel, 1024, 4u * 1024 * 1024, 24, 0.0, rng);
-  EXPECT_THROW(model.predict_ms(1000, 0.0), std::invalid_argument);
-  EXPECT_THROW(model.predict_ms(1000, -1.0), std::invalid_argument);
-  EXPECT_THROW(model.predict_ms(1000, std::numeric_limits<double>::quiet_NaN()),
+  EXPECT_THROW((void)model.predict_ms(1000, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)model.predict_ms(1000, -1.0), std::invalid_argument);
+  EXPECT_THROW((void)model.predict_ms(1000, std::numeric_limits<double>::quiet_NaN()),
                std::invalid_argument);
-  EXPECT_THROW(model.predict_ms(1000, std::numeric_limits<double>::infinity()),
+  EXPECT_THROW((void)model.predict_ms(1000, std::numeric_limits<double>::infinity()),
                std::invalid_argument);
   // A valid rate still predicts.
   EXPECT_GT(model.predict_ms(1000, 10.0), 0.0);

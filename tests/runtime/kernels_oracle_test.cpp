@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 
@@ -187,6 +189,231 @@ TEST(KernelOracle, EveryZooConvAndPoolMatchesBitForBit) {
     }
   }
   EXPECT_GE(seen.size(), 50u);
+}
+
+// The cases below aim at the paths of the vector tiles: one- and two-vector
+// tiles and their partial last tiles, strides 2-4 with padding, kernels up
+// to 11x11, grouped convs with fewer than four output channels per group,
+// non-finite weights on taps that fall in the padding, -0 biases, and NaN
+// and signed-zero inputs to pooling.
+
+/// run_layer against the reference on the given input and weights.
+bool conv_matches_exactly(const dnn::detail::Conv2dLayer& conv, const Tensor& in,
+                          const LayerWeights& w) {
+  const TensorShape out_shape = conv.infer({{in.shape()}});
+  return same_bits(run_layer(conv, {{in}}, w),
+                   reference::conv2d(conv, in, w, out_shape));
+}
+
+/// Random weights (and a bias when `bias`) for `conv` on `in_shape`.
+LayerWeights random_weights(const dnn::detail::Conv2dLayer& conv,
+                            const TensorShape& in_shape, bool bias,
+                            util::Rng& rng) {
+  const std::int64_t cin = in_shape.channels();
+  const std::int64_t groups = conv.depthwise() ? cin : conv.groups();
+  const std::int64_t cout = conv.depthwise() ? cin : conv.out_channels();
+  LayerWeights w;
+  w.weights = random_vector(static_cast<std::size_t>(
+                                cout * (cin / groups) * conv.kernel_h() *
+                                conv.kernel_w()),
+                            rng);
+  if (bias) w.bias = random_vector(static_cast<std::size_t>(cout), rng);
+  return w;
+}
+
+/// An input extent that gives `out` outputs, plus up to stride - 1 columns
+/// the last window does not reach; 0 when no extent does.
+std::int64_t extent_for(std::int64_t out, std::int64_t k, std::int64_t stride,
+                        std::int64_t pad, util::Rng& rng) {
+  const std::int64_t in = (out - 1) * stride + k - 2 * pad;
+  if (in < 1) return 0;
+  return in + rng.uniform_int(0, stride - 1);
+}
+
+TEST(KernelOracle, EveryTileWidthAndPartialTileMatches) {
+  // Output extents around the 4- and 8-lane tile widths, for convs and
+  // both pool kinds, at every (height, width) pair.
+  const std::int64_t extents[] = {1, 2, 4, 7, 8, 9, 17};
+  struct Window {
+    std::int64_t k, stride, pad;
+  };
+  const Window windows[] = {{3, 1, 1}, {1, 1, 0}, {5, 1, 2}, {3, 2, 1},
+                            {2, 2, 0}, {3, 3, 1}, {4, 2, 3}};
+  util::Rng rng(0x7115);
+  int cases = 0;
+  for (const std::int64_t oh : extents) {
+    for (const std::int64_t ow : extents) {
+      for (const Window& win : windows) {
+        const std::int64_t ih = extent_for(oh, win.k, win.stride, win.pad, rng);
+        const std::int64_t iw = extent_for(ow, win.k, win.stride, win.pad, rng);
+        if (ih < 1 || iw < 1) continue;
+        const std::int64_t cin = rng.uniform_int(1, 4);
+        const std::int64_t cout = rng.uniform_int(1, 10);
+        const bool bias = rng.chance(0.5);
+        const dnn::detail::Conv2dLayer conv(cout, win.k, win.k, win.stride,
+                                            win.pad, win.pad, 1, bias);
+        const TensorShape in_shape = TensorShape::chw(cin, ih, iw);
+        EXPECT_TRUE(conv_matches(conv, in_shape, bias, rng))
+            << describe(conv, in_shape);
+        for (const auto kind : {dnn::PoolKind::kMax, dnn::PoolKind::kAvg}) {
+          const dnn::detail::Pool2dLayer pool(kind, win.k, win.stride, win.pad);
+          EXPECT_TRUE(pool_matches(pool, in_shape, rng))
+              << describe(pool, in_shape);
+        }
+        ++cases;
+      }
+    }
+  }
+  EXPECT_GE(cases, 250);
+}
+
+TEST(KernelOracle, LargeKernelsAndStridesWithPaddingMatch) {
+  util::Rng rng(0x11A1);
+  for (std::int64_t k = 1; k <= 11; ++k) {
+    for (std::int64_t stride = 2; stride <= 4; ++stride) {
+      for (const std::int64_t pad : {std::int64_t{1}, k / 2, k - 1, k + 1}) {
+        const std::int64_t ih = extent_for(rng.uniform_int(1, 6), k, stride,
+                                           pad, rng);
+        const std::int64_t iw = extent_for(rng.uniform_int(1, 19), k, stride,
+                                           pad, rng);
+        if (ih < 1 || iw < 1) continue;
+        const std::int64_t groups = rng.uniform_int(1, 2);
+        const std::int64_t cin = groups * rng.uniform_int(1, 3);
+        const std::int64_t cout = groups * rng.uniform_int(1, 6);
+        const bool bias = rng.chance(0.5);
+        const dnn::detail::Conv2dLayer conv(cout, k, k, stride, pad, pad,
+                                            groups, bias);
+        const TensorShape in_shape = TensorShape::chw(cin, ih, iw);
+        EXPECT_TRUE(conv_matches(conv, in_shape, bias, rng))
+            << describe(conv, in_shape);
+        const dnn::detail::Pool2dLayer pool(
+            rng.chance(0.5) ? dnn::PoolKind::kMax : dnn::PoolKind::kAvg, k,
+            stride, pad);
+        EXPECT_TRUE(pool_matches(pool, in_shape, rng))
+            << describe(pool, in_shape);
+      }
+    }
+  }
+}
+
+TEST(KernelOracle, GroupsOfFewerThanFourOutputChannelsMatch) {
+  util::Rng rng(0x6409);
+  for (int i = 0; i < 300; ++i) {
+    const bool depthwise = i % 4 == 0;
+    const std::int64_t groups = depthwise ? 0 : rng.uniform_int(2, 5);
+    const std::int64_t cin =
+        depthwise ? rng.uniform_int(1, 9) : groups * rng.uniform_int(1, 3);
+    const std::int64_t cout = depthwise ? 0 : groups * rng.uniform_int(1, 3);
+    const std::int64_t k = rng.uniform_int(1, 5);
+    const std::int64_t stride = rng.uniform_int(1, 3);
+    const std::int64_t pad = rng.uniform_int(0, 2);
+    const bool bias = rng.chance(0.5);
+    const dnn::detail::Conv2dLayer conv(cout, k, k, stride, pad, pad, groups,
+                                        bias);
+    const TensorShape in_shape =
+        TensorShape::chw(cin, random_extent(k, pad, rng),
+                         random_extent(k, pad, rng));
+    EXPECT_TRUE(conv_matches(conv, in_shape, bias, rng))
+        << describe(conv, in_shape);
+  }
+}
+
+TEST(KernelOracle, NonFiniteWeightsOnPaddingTapsAreSkipped) {
+  // The first row and column of every kernel hold +inf, -inf or NaN (one
+  // kind per case, so every NaN in a sum has the same bits).  Those taps
+  // fall in the padding for the top row and left column of outputs, where
+  // multiplying by a padding zero would give NaN.
+  const float specials[] = {std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN()};
+  util::Rng rng(0x1AF);
+  for (const float special : specials) {
+    for (int i = 0; i < 40; ++i) {
+      const std::int64_t k = rng.uniform_int(2, 5);
+      const std::int64_t stride = rng.uniform_int(1, 3);
+      const std::int64_t pad = rng.uniform_int(1, k - 1);
+      const std::int64_t cin = rng.uniform_int(1, 3);
+      const std::int64_t cout = rng.uniform_int(1, 9);
+      const dnn::detail::Conv2dLayer conv(cout, k, k, stride, pad, pad, 1,
+                                          true);
+      const TensorShape in_shape = TensorShape::chw(
+          cin, random_extent(k, pad, rng), random_extent(k, pad, rng));
+      Tensor in(in_shape);
+      for (std::size_t j = 0; j < in.size(); ++j)
+        in[j] = static_cast<float>(rng.normal(0.0, 1.0));
+      LayerWeights w = random_weights(conv, in_shape, true, rng);
+      for (std::size_t j = 0; j < w.weights.size(); ++j) {
+        const auto kx = static_cast<std::int64_t>(j) % k;
+        const auto ky = static_cast<std::int64_t>(j) / k % k;
+        if (kx == 0 || ky == 0) w.weights[j] = special;
+      }
+      EXPECT_TRUE(conv_matches_exactly(conv, in, w))
+          << describe(conv, in_shape) << " with " << special;
+      // Output (0, 0) of each channel reads every special tap in the padding.
+      const Tensor out = run_layer(conv, {{in}}, w);
+      for (std::int64_t c = 0; c < out.shape().channels(); ++c)
+        EXPECT_TRUE(std::isfinite(out.at(c, 0, 0))) << describe(conv, in_shape);
+    }
+  }
+}
+
+TEST(KernelOracle, NegativeZeroBiasSurvivesPaddingTaps) {
+  // Windows that lie wholly in the padding must return the bias bits, -0
+  // included; adding a padding product of +0 would turn it into +0.
+  util::Rng rng(0x2E0);
+  for (int i = 0; i < 200; ++i) {
+    const std::int64_t k = rng.uniform_int(1, 3);
+    const std::int64_t stride = rng.uniform_int(1, 3);
+    const std::int64_t pad = rng.uniform_int(0, k + 1);
+    const std::int64_t cout = rng.uniform_int(1, 9);
+    const dnn::detail::Conv2dLayer conv(cout, k, k, stride, pad, pad, 1, true);
+    const TensorShape in_shape = TensorShape::chw(
+        rng.uniform_int(1, 3), random_extent(k, pad, rng),
+        random_extent(k, pad, rng));
+    Tensor in = random_tensor(in_shape, rng);
+    if (i % 2 == 0) {  // all-zero inputs: every product is a signed zero
+      for (std::size_t j = 0; j < in.size(); ++j)
+        in[j] = rng.chance(0.5) ? 0.0f : -0.0f;
+    }
+    LayerWeights w = random_weights(conv, in_shape, true, rng);
+    std::fill(w.bias.begin(), w.bias.end(), -0.0f);
+    EXPECT_TRUE(conv_matches_exactly(conv, in, w)) << describe(conv, in_shape);
+    if (pad >= k) {  // output (0, 0) sees no input at all
+      const Tensor out = run_layer(conv, {{in}}, w);
+      EXPECT_TRUE(out.at(0, 0, 0) == 0.0f && std::signbit(out.at(0, 0, 0)))
+          << describe(conv, in_shape);
+    }
+  }
+}
+
+TEST(KernelOracle, PoolingKeepsNaNAndSignedZeroOrder) {
+  // Max pooling keeps std::max's order (a NaN input never wins, the first
+  // of two equal zeros stays); average pooling carries NaN through.  One
+  // NaN bit pattern throughout, so the sums' NaNs compare equal.
+  util::Rng rng(0x0DD);
+  for (int i = 0; i < 400; ++i) {
+    const auto kind = i % 2 == 0 ? dnn::PoolKind::kMax : dnn::PoolKind::kAvg;
+    const std::int64_t kernel = rng.uniform_int(1, 4);
+    const std::int64_t stride = rng.uniform_int(1, 3);
+    const std::int64_t padding = rng.uniform_int(0, kernel);
+    const dnn::detail::Pool2dLayer pool(kind, kernel, stride, padding);
+    const TensorShape in_shape = TensorShape::chw(
+        rng.uniform_int(1, 3), random_extent(kernel, padding, rng),
+        random_extent(kernel, padding, rng));
+    Tensor in(in_shape);
+    for (std::size_t j = 0; j < in.size(); ++j) {
+      const double u = rng.uniform(0.0, 1.0);
+      in[j] = u < 0.2   ? std::numeric_limits<float>::quiet_NaN()
+              : u < 0.45 ? 0.0f
+              : u < 0.7  ? -0.0f
+                         : static_cast<float>(rng.normal(0.0, 1.0));
+    }
+    const TensorShape out_shape = pool.infer({{in_shape}});
+    EXPECT_TRUE(same_bits(run_layer(pool, {{in}}, LayerWeights{}),
+                          reference::pool2d(pool, in, out_shape, pool.kernel(),
+                                            pool.stride(), pool.padding())))
+        << describe(pool, in_shape);
+  }
 }
 
 }  // namespace

@@ -16,10 +16,17 @@ std::string read_file(const std::string& path) {
   return os.str();
 }
 
+// Each case writes its own file: ctest runs the cases as separate
+// processes, in parallel under -j.
 class CsvTest : public ::testing::Test {
  protected:
+  void SetUp() override {
+    path_ = ::testing::TempDir() + "/jps_csv_test_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".csv";
+  }
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "/jps_csv_test.csv";
+  std::string path_;
 };
 
 TEST_F(CsvTest, WritesHeaderAndRows) {
